@@ -31,8 +31,8 @@ from .exceptions import (
     LadderStallError,
     OutOfRangeError,
 )
-from .madapt import adapt_m, gibbs_refresh, is_refresh_log_weight
-from .mcmc import ProposalCalibration, calibrate, log_acceptance_ratio
+from .madapt import adapt_m
+from .mcmc import ProposalCalibration, calibrate
 from .models import (
     DiscreteToyModel,
     GaussianLocationModel,
@@ -40,8 +40,6 @@ from .models import (
     MixtureModel,
     TruthGenerator,
     enumerated_posterior,
-    generate_observations,
-    simulate_dataset,
     three_component_truth,
 )
 from .smc import (
@@ -50,13 +48,11 @@ from .smc import (
     SMCConfig,
     ess,
     find_next_lambda,
-    incremental_log_weight,
     load_trace_csv,
     posterior_at_lambda,
     predict_next_lambda,
     run_smc,
     systematic_resample,
-    update_log_z,
 )
 from .statistics import (
     DistanceSpec,
@@ -104,22 +100,15 @@ __all__ = [
     "ess",
     "exponential_family_kl",
     "find_next_lambda",
-    "generate_observations",
-    "gibbs_refresh",
-    "incremental_log_weight",
-    "is_refresh_log_weight",
     "load_trace_csv",
-    "log_acceptance_ratio",
     "mcdiarmid_f",
     "nonparametric_rate",
     "posterior_at_lambda",
     "predict_next_lambda",
     "run_smc",
-    "simulate_dataset",
     "small_ball_log_prior_mass",
     "summarize",
     "summarize_batch",
     "systematic_resample",
     "three_component_truth",
-    "update_log_z",
 ]

@@ -41,7 +41,7 @@ from .exceptions import (
     LadderStallError,
 )
 from .models import DiscreteToyModel, enumerated_posterior
-from .smc import ExponentialKernel, load_trace_csv, posterior_at_lambda, run_smc
+from .smc import load_trace_csv, posterior_at_lambda, run_smc
 from .statistics import summarize, summarize_batch
 
 
@@ -112,6 +112,30 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
+def _tv_to_enumeration(model, summary, dist_spec, observations, system):
+    """Total variation from the particle posterior over the atoms to enumeration; also the exact log Z."""
+    exact, log_z_exact = enumerated_posterior(model, summary, dist_spec, observations, system.lam)
+    got = np.array(
+        [np.sum(system.weights() * (system.theta[:, 0] == v)) for v in model.theta_values]
+    )
+    return float(0.5 * np.abs(got - exact).sum()), log_z_exact
+
+
+_BOUND_TABLE_HEADER = ["step", "lambda", "bound", "neg_log_z", "concentration", "confidence"]
+
+
+def _bound_table_rows(trace, constants, distance_kind):
+    """One empirical-bound row per ladder step, in the columns of _BOUND_TABLE_HEADER."""
+    rows = []
+    for rec in trace.records:
+        report = empirical_bound(rec.log_z, rec.lam, constants, distance_kind)
+        rows.append(
+            [rec.step, _g(rec.lam), _g(report.value)]
+            + [_g(report.components[k]) for k in ("neg_log_z", "concentration", "confidence")]
+        )
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -152,11 +176,7 @@ def cmd_run(args) -> int:
         "wall_time_s": wall,
     }
     if isinstance(model, DiscreteToyModel):
-        exact, _ = enumerated_posterior(model, summary, dist_spec, observations, system.lam)
-        counts = np.array(
-            [np.sum(system.weights() * (system.theta[:, 0] == v)) for v in model.theta_values]
-        )
-        report["tv_to_enumerated"] = float(0.5 * np.abs(counts - exact).sum())
+        report["tv_to_enumerated"], _ = _tv_to_enumeration(model, summary, dist_spec, observations, system)
     if "bound" in cfg:
         constants = BoundConstants(**cfg["bound"])
         if len(trace) > 0 and trace.lambdas[0] < trace.lambdas[-1]:
@@ -218,18 +238,7 @@ def cmd_bound(args) -> int:
     trace = load_trace_csv(args.trace)
 
     if args.mode == "empirical":
-        rows = []
-        for rec in trace.records:
-            report = empirical_bound(rec.log_z, rec.lam, constants, distance_kind)
-            rows.append(
-                [rec.step, _g(rec.lam), _g(report.value)]
-                + [_g(report.components[k]) for k in ("neg_log_z", "concentration", "confidence")]
-            )
-        _write_csv(
-            path,
-            ["step", "lambda", "bound", "neg_log_z", "concentration", "confidence"],
-            rows,
-        )
+        _write_csv(path, _BOUND_TABLE_HEADER, _bound_table_rows(trace, constants, distance_kind))
         print(f"wrote {path}")
         return 0
 
@@ -287,6 +296,24 @@ def _run_variant(cfg: dict, seed: int, out_dir: Path, tag: str, **smc_overrides)
     return model, summary, dist_spec, observations, system, trace
 
 
+def _uniform_arm(cfg: dict, seed: int, out_dir: Path, tag: str, budget: int):
+    """Final particle system of the accept/reject baseline, run on the simulator
+    budget of the run it is compared with; writes its trace under out_dir."""
+    _, _, _, _, system, _ = _run_variant(
+        cfg,
+        seed,
+        out_dir,
+        tag,
+        kernel="uniform",
+        eps_target=0.0,
+        lambda_target=None,
+        sim_budget=budget,
+        adapt_m=False,
+        store_snapshots=False,
+    )
+    return system
+
+
 def _posterior_predictive_stats(model, summary, theta, weights, n_obs, seed):
     """Weighted fresh-simulation estimate of the posterior-mean statistic vector."""
     rng = np.random.default_rng([seed, 0x5117])
@@ -310,11 +337,8 @@ def _experiment_toy(cfg, seeds, out, name):
         model, summary, dist_spec, obs, system, trace = _run_variant(cfg, seed, sd, "main")
         row = [seed, len(trace), _g(system.lam), _g(system.log_z), system.sim_calls]
         if isinstance(model, DiscreteToyModel):
-            exact, log_z_exact = enumerated_posterior(model, summary, dist_spec, obs, system.lam)
-            counts = np.array(
-                [np.sum(system.weights() * (system.theta[:, 0] == v)) for v in model.theta_values]
-            )
-            row += [_g(0.5 * np.abs(counts - exact).sum()), _g(log_z_exact)]
+            tv, log_z_exact = _tv_to_enumeration(model, summary, dist_spec, obs, system)
+            row += [_g(tv), _g(log_z_exact)]
         else:
             row += ["", ""]
         rows.append(row)
@@ -336,17 +360,7 @@ def _experiment1(cfg, seeds, out, name):
         budget = sys_exp.sim_calls
         _, _, _, _, sys_ref, _ = _run_variant(cfg, seed, sd, "reference", n_particles=n_ref)
         ref_mean = sys_ref.weighted_mean()
-        _, _, _, _, sys_uni, _ = _run_variant(
-            cfg,
-            seed,
-            sd,
-            "uniform",
-            kernel="uniform",
-            eps_target=0.0,
-            lambda_target=None,
-            sim_budget=budget,
-            adapt_m=False,
-        )
+        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget)
         for tag, system in (("exponential", sys_exp), ("uniform", sys_uni)):
             err = np.abs(system.weighted_mean() - ref_mean)
             for j, e in enumerate(err):
@@ -386,21 +400,10 @@ def _experiment2(cfg, seeds, out, name):
             estimators["fixed_lambda"] = s_fixed
             constants = BoundConstants(**ncfg["bound"])
             lam_hat, _ = adaptive_select_lambda(trace, constants, distance_kind=dist_spec.kind)
-            th_a, w_a = posterior_at_lambda(trace, lam_hat, ExponentialKernel)
+            th_a, w_a = posterior_at_lambda(trace, lam_hat)
             s_adapt, _ = _posterior_predictive_stats(model, summ, th_a, w_a, len(obs), seed)
             estimators["adaptive_lambda"] = s_adapt
-            _, _, _, _, sys_uni, _ = _run_variant(
-                ncfg,
-                seed,
-                sd,
-                f"uniform_n{n}",
-                kernel="uniform",
-                eps_target=0.0,
-                lambda_target=None,
-                sim_budget=budget,
-                adapt_m=False,
-                store_snapshots=False,
-            )
+            sys_uni = _uniform_arm(ncfg, seed, sd, f"uniform_n{n}", budget)
             s_uni, _ = _posterior_predictive_stats(
                 model, summ, sys_uni.theta, sys_uni.weights(), len(obs), seed
             )
@@ -422,17 +425,8 @@ def _experiment2(cfg, seeds, out, name):
     cfg0 = json.loads(json.dumps(cfg))
     _, _, dist_spec, _, _, trace = _run_variant(cfg0, seeds[0], sd, "bound_source")
     constants = BoundConstants(**cfg["bound"])
-    bound_rows = []
-    for rec in trace.records:
-        rep = empirical_bound(rec.log_z, rec.lam, constants, dist_spec.kind)
-        bound_rows.append(
-            [rec.step, _g(rec.lam), _g(rep.value)]
-            + [_g(rep.components[k]) for k in ("neg_log_z", "concentration", "confidence")]
-        )
     _write_csv(
-        out / "bound_table.csv",
-        ["step", "lambda", "bound", "neg_log_z", "concentration", "confidence"],
-        bound_rows,
+        out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(trace, constants, dist_spec.kind)
     )
 
 
@@ -448,17 +442,7 @@ def _experiment3(cfg, seeds, out, name):
         sd = _seed_dir(out, seed)
         model, summ, dist_spec, obs, sys_abc, _ = _run_variant(cfg, seed, sd, "abc")
         budget = sys_abc.sim_calls
-        _, _, _, _, sys_uni, _ = _run_variant(
-            cfg,
-            seed,
-            sd,
-            "uniform",
-            kernel="uniform",
-            eps_target=0.0,
-            lambda_target=None,
-            sim_budget=budget,
-            adapt_m=False,
-        )
+        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget)
         for tag, system in (("abc", sys_abc), ("uniform", sys_uni)):
             s_hat, draws = _posterior_predictive_stats(
                 model, summ, system.theta, system.weights(), len(obs), seed

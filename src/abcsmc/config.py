@@ -22,6 +22,8 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
+
 from .exceptions import InvalidConfigError
 from .models import (
     DiscreteToyModel,
@@ -130,8 +132,6 @@ def build_observations(cfg: dict, seed: int):
     The draw uses its own seed stream (seed + a fixed offset) so the observed
     dataset is reproducible and distinct from the sampler's randomness.
     """
-    import numpy as np
-
     if "observations" in cfg:
         return np.asarray(cfg["observations"], dtype=float)
     section = dict(cfg["truth"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import BoundConstants, adaptive_select_lambda
 from .exceptions import InvalidConfigError, InvalidInputError
-from .smc import ExponentialKernel, SMCConfig, posterior_at_lambda, run_smc
+from .smc import SMCConfig, posterior_at_lambda, run_smc
 from .statistics import DistanceSpec, SummarySpec
 
 
@@ -150,4 +150,4 @@ class ABCPosteriorEstimator:
     def posterior_at(self, lam: float):
         """(theta, weights) at an off-ladder bandwidth via snapshot reweighting."""
         self._check_fitted()
-        return posterior_at_lambda(self.trace_, lam, ExponentialKernel)
+        return posterior_at_lambda(self.trace_, lam)

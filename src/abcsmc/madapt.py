@@ -1,15 +1,17 @@
 """Replicate-count (M) adaptation for the replicate-augmented target.
 
 Doubling M when MCMC acceptance drops below a floor trades simulation cost
-for a lower-variance kernel estimate.  Two refresh rules change M in flight:
+for a lower-variance kernel estimate.  Two refresh rules change M in flight,
+each applied to the whole particle system at once:
 
-- Gibbs refresh: retain one existing replicate with probability proportional
-  to exp(-lambda * d_k), then simulate the remaining M'-1 afresh.  This is an
-  exact conditional draw from the augmented target, so particle weights are
-  untouched.
-- Importance-sampling refresh: replace all replicates by fresh draws and
-  correct the weights by the ratio of kernel averages.  The correction has
-  heavy tails at large lambda and is included as the unstable baseline.
+- Gibbs refresh (``gibbs_refresh_system``): each particle retains one
+  existing replicate with probability proportional to exp(-lambda * d_k),
+  then simulates the remaining M'-1 afresh.  This is an exact conditional
+  draw from the augmented target, so particle weights are untouched.
+- Importance-sampling refresh (``is_refresh_system``): replace all
+  replicates by fresh draws and correct the weights by the ratio of kernel
+  averages (``is_log_correction``).  The correction has heavy tails at large
+  lambda and is included as the unstable baseline.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidInputError
+from .statistics import ExponentialKernel
 
 
 def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> tuple[int, bool]:
@@ -35,29 +38,6 @@ def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> tuple[
 def retention_log_weights(dists: np.ndarray, lam: float) -> np.ndarray:
     """Unnormalized log retention weights -lam * d_k over a particle's replicates."""
     return -lam * np.asarray(dists, dtype=float)
-
-
-def gibbs_refresh(theta, dists_old, lam, m_new, model, summary, dist_spec, obs_stats, n_obs, rng):
-    """Single-particle conditional refresh to m_new replicate distances.
-
-    Keeps replicate k with probability proportional to exp(-lam * d_k)
-    (placed first), simulates m_new - 1 fresh replicates, and leaves the
-    particle weight unchanged.
-    """
-    from .smc import simulate_distances
-
-    dists_old = np.asarray(dists_old, dtype=float)
-    lw = retention_log_weights(dists_old, lam)
-    lw = lw - lw.max()
-    p = np.exp(lw)
-    p /= p.sum()
-    k = int(rng.choice(len(p), p=p))
-    kept_d = dists_old[k]
-    if m_new > 1:
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        d_new = simulate_distances(model, theta, n_obs, m_new - 1, rng, summary, dist_spec, obs_stats)[0]
-        return np.concatenate([[kept_d], d_new])
-    return np.array([kept_d])
 
 
 def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -> int:
@@ -82,16 +62,13 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -
     return n * (m_new - 1)
 
 
-def is_refresh_log_weight(dists_old: np.ndarray, dists_new: np.ndarray, lam: float) -> float:
-    """log importance correction when replacing M old replicates by M' fresh ones.
+def is_log_correction(dists_old: np.ndarray, dists_new: np.ndarray, lam: float) -> np.ndarray:
+    """Per-particle log importance correction for replacing M old replicates by M' fresh ones.
 
-    w = [M sum_i e^(-lam d~_i)] / [M' sum_i e^(-lam d_i)].
+    log w = log [M sum_i e^(-lam d~_i)] - log [M' sum_i e^(-lam d_i)], with
+    the old distances d and the fresh ones d~ in the rows of the two arrays.
     """
-    from .smc import ExponentialKernel, logsumexp  # noqa: F401  (shared stable lse)
-
-    dists_old = np.asarray(dists_old, dtype=float)
-    dists_new = np.asarray(dists_new, dtype=float)
-    return float(
+    return (
         np.log(dists_old.shape[-1])
         - np.log(dists_new.shape[-1])
         + ExponentialKernel.log_sum(dists_new, lam)
@@ -101,18 +78,11 @@ def is_refresh_log_weight(dists_old: np.ndarray, dists_new: np.ndarray, lam: flo
 
 def is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -> int:
     """Replace all replicates by fresh ones and apply the importance correction."""
-    from .smc import ExponentialKernel, simulate_distances
+    from .smc import simulate_distances
 
-    n, m_old = system.dists.shape
     d_new = simulate_distances(
         model, system.theta, n_obs, m_new, rng, summary, dist_spec, system.observed_stats
     )
-    incr = (
-        np.log(m_old)
-        - np.log(m_new)
-        + ExponentialKernel.log_sum(d_new, system.lam)
-        - ExponentialKernel.log_sum(system.dists, system.lam)
-    )
-    system.log_weights = system.log_weights + incr
+    system.log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam)
     system.dists = d_new
-    return n * m_new
+    return system.n_particles * m_new

@@ -54,32 +54,17 @@ def calibrate(
     return ProposalCalibration(chol=chol, scale=scale, ridge=ridge)
 
 
-def log_acceptance_ratio(
-    dists_current: np.ndarray,
-    dists_proposal: np.ndarray,
-    lam: float,
-    log_prior_current: float,
-    log_prior_proposal: float,
-) -> float:
-    """log of [sum_i e^(-lam d'_i) pi(theta')] / [sum_i e^(-lam d_i) pi(theta)].
+def mh_log_ratio(log_k_cur, log_k_prop, log_prior_cur, log_prior_prop):
+    """Per-particle log of [sum_i K(d'_i) pi(theta')] / [sum_i K(d_i) pi(theta)].
 
-    The symmetric random-walk proposal density cancels; replicate counts of
-    numerator and denominator must match so the 1/M factors cancel too.
+    Takes each state's log kernel sum over its replicates.  The symmetric
+    random-walk proposal density cancels, and so do the 1/M factors, since
+    both states carry M replicates.  An undefined ratio (-inf - -inf, as when
+    both states lie outside the prior's support) is -inf: the move is rejected.
     """
-    dists_current = np.asarray(dists_current, dtype=float)
-    dists_proposal = np.asarray(dists_proposal, dtype=float)
-    if dists_current.shape != dists_proposal.shape:
-        raise InvalidInputError("current and proposal must have the same replicate count")
-    if log_prior_proposal == -np.inf:
-        return -np.inf
-    from .smc import ExponentialKernel  # local import to avoid a cycle
-
-    return float(
-        ExponentialKernel.log_sum(dists_proposal, lam)
-        - ExponentialKernel.log_sum(dists_current, lam)
-        + log_prior_proposal
-        - log_prior_current
-    )
+    with np.errstate(invalid="ignore"):
+        log_ratio = log_k_prop - log_k_cur + log_prior_prop - log_prior_cur
+    return np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
 
 def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, rng, kernel):
@@ -88,7 +73,7 @@ def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, r
     Continuous models use a Gaussian random walk with the calibrated
     covariance; discrete models (theta_atoms set) use a symmetric uniform
     proposal over the atoms.  Acceptance uses the standard rule
-    log U < log ratio.
+    log U < ``mh_log_ratio``.
     """
     from .smc import simulate_distances
 
@@ -108,10 +93,7 @@ def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, r
             model, prop, n_obs, m, rng, summary, dist_spec, system.observed_stats
         )
         lk_prop = kernel.log_sum(d_prop, system.lam)
-        with np.errstate(invalid="ignore"):
-            log_ratio = lk_prop - log_kern + lp_prop - log_prior
-        log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
-        acc = np.log(rng.random(n)) < log_ratio
+        acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
         system.theta[acc] = prop[acc]
         system.dists[acc] = d_prop[acc]
         log_prior[acc] = lp_prop[acc]

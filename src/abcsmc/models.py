@@ -1,26 +1,29 @@
 """Generative models (prior + simulator) and the data generators for experiments.
 
-Every model exposes a prior over an unconstrained parameter vector and a
-conditional simulator producing datasets of n reals.  All randomness flows
-through caller-supplied ``numpy.random.Generator`` streams, so a fixed seed
-reproduces datasets bit for bit.
+The model interface is a prior over an unconstrained parameter vector
+(``prior_sample`` and ``prior_logpdf_batch``) plus one simulator,
+``simulate_batch``, which draws m datasets of n reals for every parameter
+row at once.  All randomness flows through caller-supplied
+``numpy.random.Generator`` streams, so a fixed seed reproduces datasets bit
+for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
+from .statistics import distance_batch, summarize, summarize_batch
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class GenerativeModel:
-    """Interface: prior sampler/log-density over Theta plus a simulator.
+    """Interface: prior sampler/log-density over Theta plus a batch simulator.
 
     ``theta_atoms`` is None for continuous parameter spaces; discrete models
     set it to the finite list of admissible parameter values, which switches
@@ -33,41 +36,12 @@ class GenerativeModel:
     def prior_sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def prior_logpdf(self, theta) -> float:
-        raise NotImplementedError
-
-    def simulate(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
+    def prior_logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def simulate_batch(self, thetas: np.ndarray, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         """Simulate m datasets of size n for each row of thetas; shape (B, m, n)."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty((thetas.shape[0], m, n))
-        for i, th in enumerate(thetas):
-            for j in range(m):
-                out[i, j] = self.simulate(th, n, rng)
-        return out
-
-    def prior_logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        return np.array([self.prior_logpdf(th) for th in thetas])
-
-
-def _check_theta(theta, dim: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape != (dim,):
-        raise InvalidParameterError(f"expected parameter of dimension {dim}, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise InvalidParameterError("parameter has non-finite entries")
-    return theta
-
-
-def simulate_dataset(model: GenerativeModel, theta, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One dataset of n i.i.d. draws from the model at theta."""
-    if n < 1:
-        raise InvalidConfigError("dataset size must be >= 1")
-    theta = _check_theta(theta, model.param_dim)
-    return model.simulate(theta, n, rng)
+        raise NotImplementedError
 
 
 class MixtureModel(GenerativeModel):
@@ -90,18 +64,10 @@ class MixtureModel(GenerativeModel):
         shape = (4,) if size is None else (size, 4)
         return rng.normal(size=shape) * self._prior_sd
 
-    def prior_logpdf(self, theta):
-        theta = _check_theta(theta, 4)
-        z = theta / self._prior_sd
-        return float(-0.5 * (z @ z) - 2.0 * _LOG_2PI - np.log(self._prior_sd).sum())
-
     def prior_logpdf_batch(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         z = thetas / self._prior_sd
         return -0.5 * (z * z).sum(axis=1) - 2.0 * _LOG_2PI - np.log(self._prior_sd).sum()
-
-    def simulate(self, theta, n, rng):
-        return self.simulate_batch(theta, n, 1, rng)[0, 0]
 
     def simulate_batch(self, thetas, n, m, rng):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -134,16 +100,9 @@ class GaussianLocationModel(GenerativeModel):
         shape = (1,) if size is None else (size, 1)
         return rng.normal(size=shape) * math.sqrt(self.prior_var)
 
-    def prior_logpdf(self, theta):
-        theta = _check_theta(theta, 1)
-        return float(-0.5 * theta[0] ** 2 / self.prior_var - 0.5 * (_LOG_2PI + math.log(self.prior_var)))
-
     def prior_logpdf_batch(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return -0.5 * thetas[:, 0] ** 2 / self.prior_var - 0.5 * (_LOG_2PI + math.log(self.prior_var))
-
-    def simulate(self, theta, n, rng):
-        return self.simulate_batch(theta, n, 1, rng)[0, 0]
 
     def simulate_batch(self, thetas, n, m, rng):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -196,13 +155,6 @@ class DiscreteToyModel(GenerativeModel):
     def enumerate_datasets(self) -> np.ndarray:
         return self._datasets
 
-    def atom_index(self, theta) -> int:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        hits = np.nonzero(self.theta_values == theta[0])[0]
-        if hits.size == 0:
-            raise InvalidParameterError(f"{theta[0]!r} is not a parameter atom")
-        return int(hits[0])
-
     def atom_index_batch(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         pos = np.searchsorted(self._sorted_vals, values)
@@ -216,13 +168,6 @@ class DiscreteToyModel(GenerativeModel):
         k = rng.choice(self.theta_values.size, size=size, p=self.prior_weights)
         return self.theta_values[np.atleast_1d(k)][:, None] if size is not None else self.theta_values[[k]]
 
-    def prior_logpdf(self, theta):
-        theta = _check_theta(theta, 1)
-        hits = np.nonzero(self.theta_values == theta[0])[0]
-        if hits.size == 0:
-            return -math.inf
-        return float(np.log(self.prior_weights[hits[0]]))
-
     def prior_logpdf_batch(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         vals = thetas[:, 0]
@@ -231,9 +176,6 @@ class DiscreteToyModel(GenerativeModel):
         match = self._sorted_vals[pos] == vals
         out[match] = np.log(self.prior_weights[self._sort_order[pos[match]]])
         return out
-
-    def simulate(self, theta, n, rng):
-        return self.simulate_batch(theta, n, 1, rng)[0, 0]
 
     def simulate_batch(self, thetas, n, m, rng):
         if n != self.n:
@@ -301,19 +243,12 @@ def three_component_truth(n: int = 90, truncation=(-5.0, 5.0)) -> TruthGenerator
     return TruthGenerator(n=n, truncation=truncation, **_DEFAULT_THREE_COMPONENT)
 
 
-def generate_observations(gen: TruthGenerator, rng: np.random.Generator) -> np.ndarray:
-    """n observations from the data-generating process, clamped if truncation is set."""
-    return gen.sample(rng)
-
-
 def enumerated_posterior(model: DiscreteToyModel, summary_spec, dist_spec, observations, lam: float):
     """Exact pseudo-posterior over the parameter atoms by full enumeration.
 
     Sums e^(-lam * d(S(x), S(y))) * likelihood(x | atom) * prior(atom) over
     every possible dataset x.  Returns (atom probabilities, log Z).
     """
-    from .statistics import distance_batch, summarize, summarize_batch
-
     obs_stats = summarize(summary_spec, np.asarray(observations, dtype=float))
     stats = summarize_batch(summary_spec, model.enumerate_datasets())
     dists = distance_batch(dist_spec, stats, obs_stats)

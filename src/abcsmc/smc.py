@@ -1,10 +1,12 @@
 """Adaptive SMC driver for the exponential-kernel ABC pseudo-posterior.
 
-The sampler tracks a weighted population of (theta, replicate statistics,
-replicate distances) through an increasing inverse-temperature ladder chosen
-by ESS-targeted bisection, with systematic resampling every step, MCMC
-rejuvenation, replicate-count adaptation, and online tracking of the
-log-normalizing constant log Z_lambda.
+The sampler tracks a weighted population of (theta, replicate distances)
+along a ladder: inverse temperatures lambda rising from 0 for the exponential
+kernel, or tolerances eps falling from +inf for the uniform (accept/reject)
+kernel.  One ESS-targeted bisection, ``find_next_lambda``, picks the next
+rung of either ladder from the kernel's start and direction.  Every step
+reweights (``reweight``, which also tracks log Z), resamples systematically,
+rejuvenates by MCMC and adapts the replicate count M.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ from .exceptions import (
     LadderStallError,
 )
 from .models import GenerativeModel
-from .statistics import DistanceSpec, SummarySpec, distance_batch, summarize, summarize_batch
+from .statistics import (
+    KERNELS,
+    DistanceSpec,
+    ExponentialKernel,
+    SummarySpec,
+    UniformKernel,
+    distance_batch,
+    logsumexp,
+    summarize,
+    summarize_batch,
+)
 
 
 def simulate_distances(
@@ -51,43 +63,6 @@ def simulate_distances(
     return out
 
 
-def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """Stable log-sum-exp; rows of all -inf map to -inf without warnings."""
-    a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out if axis is not None else float(out)
-
-
-class ExponentialKernel:
-    """log sum_i exp(-lambda * d_i); ladder parameter lambda increases from 0."""
-
-    name = "exponential"
-    start_param = 0.0
-
-    @staticmethod
-    def log_sum(dists: np.ndarray, lam: float) -> np.ndarray:
-        return logsumexp(-lam * dists, axis=-1)
-
-
-class UniformKernel:
-    """log #{i : d_i <= eps}; ladder parameter eps decreases from +inf.
-
-    The accept/reject baseline: weight increments are 0 or -inf, driven by
-    the same ESS bisection machinery on the acceptance indicator.
-    """
-
-    name = "uniform"
-    start_param = math.inf
-
-    @staticmethod
-    def log_sum(dists: np.ndarray, eps: float) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.sum(dists <= eps, axis=-1).astype(float))
-
-
 def ess(log_weights: np.ndarray) -> float:
     """Effective sample size (sum w)^2 / sum w^2, computed in log space."""
     log_weights = np.asarray(log_weights, dtype=float)
@@ -96,12 +71,16 @@ def ess(log_weights: np.ndarray) -> float:
     return float(np.exp(2.0 * logsumexp(log_weights, axis=0) - logsumexp(2.0 * log_weights, axis=0)))
 
 
-def incremental_log_weight(dists, lam_new: float, lam_old: float) -> float:
-    """Exponential-kernel weight increment for one particle's replicate distances."""
-    dists = np.asarray(dists, dtype=float)
-    if lam_new < lam_old or lam_old < 0:
-        raise InvalidConfigError("requires lam_new >= lam_old >= 0")
-    return float(ExponentialKernel.log_sum(dists, lam_new) - ExponentialKernel.log_sum(dists, lam_old))
+def reweight(log_weights, log_z, dists, kernel, old, new):
+    """Move the weights and the log Z estimate one ladder step, from old to new.
+
+    Each particle's weight is multiplied by K_new(d)/K_old(d), the ratio of
+    its kernel sums over its replicate distances (a row of ``dists``), and
+    log Z gains the log of the weighted mean ratio (``log_weights``
+    normalized).  Returns the unnormalized log weights and the new log Z.
+    """
+    log_weights = log_weights + (kernel.log_sum(dists, new) - kernel.log_sum(dists, old))
+    return log_weights, log_z + logsumexp(log_weights, axis=0)
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -185,88 +164,60 @@ class ParticleSystem:
 def find_next_lambda(
     system: ParticleSystem,
     tau: float,
-    lam_max: float,
+    cap: float,
     tol: float = 1e-4,
     kernel=ExponentialKernel,
     predict: float | None = None,
     max_iter: int = 100,
 ) -> float:
-    """Next ladder value solving ESS(lambda) = tau*N by bisection.
+    """Next rung of the kernel's ladder: where the ESS falls to tau*N.
 
-    Returns lam_max when even the capped update keeps ESS above the target.
-    Raises LadderStallError when the current ESS is already below tau*N.
+    The ladder moves from ``system.lam`` towards ``cap`` in the kernel's
+    direction (lambda up, eps down).  Returns ``cap`` when the ESS there
+    still meets the target, and raises LadderStallError when the current ESS
+    is already below it.  Otherwise bisects between the near end (ESS above
+    the target) and the far end (below) until the ESS is within tol*N of
+    tau*N.  The uniform kernel's ESS is a step function of eps that may
+    never come that close; after ``max_iter`` halvings the near end is
+    returned, whose ESS meets the target.  ``predict``, a forecast of the
+    next lambda on a rising ladder, narrows the first bracket.
     """
     n = system.n_particles
     target = tau * n
     base = kernel.log_sum(system.dists, system.lam)
 
-    def ess_at(lam: float) -> float:
-        return ess(system.log_weights + kernel.log_sum(system.dists, lam) - base)
+    def ess_at(param: float) -> float:
+        lw = system.log_weights + kernel.log_sum(system.dists, param) - base
+        return ess(lw) if np.any(np.isfinite(lw)) else 0.0
 
-    if system.ess() < target - tol * n:
+    current = system.ess()
+    if current < target - tol * n:
         raise LadderStallError(
-            f"ESS {system.ess():.2f} already below target {target:.2f} at lambda={system.lam:g}"
+            f"ESS {current:.2f} already below target {target:.2f} at {kernel.name} ladder value {system.lam:g}"
         )
-    if ess_at(lam_max) >= target:
-        return lam_max
-    lo = system.lam
-    hi = lam_max
-    if predict is not None and predict > lo:
-        hi = min(lam_max, 4.0 * predict)
-        while ess_at(hi) > target and hi < lam_max:
-            lo = hi
-            hi = min(2.0 * hi, lam_max)
+    if ess_at(cap) >= target:
+        return cap
+    near, far = system.lam, cap
+    if not math.isfinite(near):
+        near = float(system.dists.max())
+    if predict is not None and predict > near:
+        far = min(cap, 4.0 * predict)
+        while ess_at(far) > target and far < cap:
+            near = far
+            far = min(2.0 * far, cap)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        e = ess_at(mid)
-        if abs(e - target) <= tol * n:
-            return mid
-        if e > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _find_next_eps(system: ParticleSystem, tau: float, eps_target: float, tol: float, max_iter: int = 100) -> float:
-    """Uniform-kernel analogue: shrink eps until ESS hits tau*N (ESS increases with eps)."""
-    n = system.n_particles
-    target = tau * n
-    base = UniformKernel.log_sum(system.dists, system.lam)
-
-    def ess_at(e: float) -> float:
-        lw = system.log_weights + UniformKernel.log_sum(system.dists, e) - base
-        if not np.any(np.isfinite(lw)):
-            return 0.0
-        return ess(lw)
-
-    if system.ess() < target - tol * n:
-        raise LadderStallError(
-            f"ESS {system.ess():.2f} already below target {target:.2f} at eps={system.lam:g}"
-        )
-    if ess_at(eps_target) >= target:
-        return eps_target
-    lo, hi = eps_target, system.lam
-    if not math.isfinite(hi):
-        hi = float(system.dists.max())
-    last_ok = hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (near + far)
         e = ess_at(mid)
         if abs(e - target) <= tol * n:
             return mid
         if e >= target:
-            hi = mid
-            last_ok = mid
+            near = mid
         else:
-            lo = mid
-    return last_ok
+            far = mid
+    return near
 
 
-def update_log_z(system: ParticleSystem, lam_new: float, kernel=ExponentialKernel) -> float:
-    """Telescoped log Z at lam_new using the current (pre-resampling) weights."""
-    incr = kernel.log_sum(system.dists, lam_new) - kernel.log_sum(system.dists, system.lam)
-    return system.log_z + logsumexp(system.log_weights + incr, axis=0)
+_find_next_eps = find_next_lambda  # perfbench/spans.py wraps the search under this name too
 
 
 @dataclass
@@ -391,7 +342,7 @@ class SMCConfig:
             raise InvalidConfigError("n_particles must be >= 2")
         if not 0.0 < self.tau < 1.0:
             raise InvalidConfigError("tau must lie in (0, 1)")
-        if self.kernel not in ("exponential", "uniform"):
+        if self.kernel not in KERNELS:
             raise InvalidConfigError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "uniform":
             if self.eps_target is None or self.eps_target < 0:
@@ -418,12 +369,11 @@ def _init_system(config, model, summary, dist_spec, observations, rng) -> Partic
     theta = model.prior_sample(rng, config.n_particles)
     dists = simulate_distances(model, theta, n_obs, config.initial_m, rng, summary, dist_spec, obs_stats)
     log_w = np.full(config.n_particles, -math.log(config.n_particles))
-    kernel = ExponentialKernel if config.kernel == "exponential" else UniformKernel
     return ParticleSystem(
         theta=theta,
         dists=dists,
         log_weights=log_w,
-        lam=kernel.start_param,
+        lam=KERNELS[config.kernel].start_param,
         log_z=0.0,
         observed_stats=obs_stats,
         sim_calls=config.n_particles * config.initial_m,
@@ -438,9 +388,9 @@ def run_smc(
     observations,
     hooks=None,
 ) -> tuple[ParticleSystem, LadderTrace]:
-    """Full adaptive SMC loop from the prior to the target inverse temperature.
+    """Full adaptive SMC loop from the prior to the target inverse temperature (or tolerance).
 
-    Each ladder step: choose the next temperature by ESS bisection, reweight,
+    Each ladder step: choose the next rung by ESS bisection, reweight and
     update log Z, resample systematically, rejuvenate with K MCMC sweeps, then
     adapt the replicate count M.  Identical config and seed reproduce the
     trace bit for bit.
@@ -448,72 +398,60 @@ def run_smc(
     config.validate()
     observations = np.asarray(observations, dtype=float)
     rng = np.random.default_rng(config.seed)
-    kernel = ExponentialKernel if config.kernel == "exponential" else UniformKernel
-    uniform = config.kernel == "uniform"
+    kernel = KERNELS[config.kernel]
+    uniform = kernel is UniformKernel
     n_obs = len(observations)
 
     system = _init_system(config, model, summary, dist_spec, observations, rng)
     trace = LadderTrace(kernel=kernel.name)
-    if not uniform and config.lambda_target is not None and config.lambda_target == 0.0:
+    if not uniform and config.lambda_target == 0.0:
         return system, trace
 
+    # the search runs towards cap; the ladder ends on the first rung at or past stop
     if uniform:
         cap = config.eps_target
-    elif config.lambda_target is None:
+    elif config.lambda_max is not None:
         cap = config.lambda_max
     else:
-        cap = config.lambda_max if config.lambda_max is not None else 10.0 * config.lambda_target
+        cap = 10.0 * config.lambda_target
+    stop = cap if uniform or config.lambda_target is None else min(config.lambda_target, cap)
 
     n = config.n_particles
     m = config.initial_m
     history: list[tuple[int, float]] = []
-    final = False
 
     for step in range(1, config.max_steps + 1):
         if config.sim_budget is not None and system.sim_calls >= config.sim_budget:
             trace.status = "budget_exhausted"
             break
-        def _select():
-            if uniform:
-                eps_new = _find_next_eps(system, config.tau, cap, config.bisect_tol)
-                return eps_new, eps_new <= cap
-            predict = predict_next_lambda(history) if (m > 1 and history) else None
-            chosen = find_next_lambda(system, config.tau, cap, config.bisect_tol, predict=predict)
-            if config.lambda_target is not None and chosen >= config.lambda_target:
-                return config.lambda_target, True
-            return chosen, chosen >= cap
-
         stalled = False
+        predict = predict_next_lambda(history) if (not uniform and m > 1 and history) else None
         try:
-            lam_new, final = _select()
+            lam_new = find_next_lambda(system, config.tau, cap, config.bisect_tol, kernel, predict)
         except LadderStallError as err:
-            if config.on_stall == "advance" and not uniform:
-                # The current weights are already below the ESS target -- the
-                # importance-sampling M refresh can do this -- so no
-                # admissible temperature exists.  Push the ladder along the
-                # predicted geometric schedule anyway and keep the damaged
-                # weights: resampling would launder the diagnostic, and the
-                # whole point of this instrumented mode is to record how the
-                # weight ESS collapses once the ESS contract is broken.
-                predicted = predict_next_lambda(history) if history else None
-                lam_new = predicted if (predicted is not None and predicted > system.lam) else 1.5 * system.lam
-                if config.lambda_target is not None and lam_new >= config.lambda_target:
-                    lam_new = config.lambda_target
-                    final = True
-                elif lam_new >= cap:
-                    lam_new = cap
-                    final = True
-                stalled = True
-            else:
+            if config.on_stall != "advance" or uniform:
                 trace.status = "ladder_stall"
                 if config.on_stall == "raise":
                     err.trace = trace
                     raise
                 break
+            # The current weights are already below the ESS target -- the
+            # importance-sampling M refresh can do this -- so no admissible
+            # temperature exists.  Push the ladder along the predicted
+            # geometric schedule anyway and keep the damaged weights:
+            # resampling would launder the diagnostic, and the whole point
+            # of this instrumented mode is to record how the weight ESS
+            # collapses once the ESS contract is broken.
+            predicted = predict_next_lambda(history) if history else None
+            lam_new = predicted if (predicted is not None and predicted > system.lam) else 1.5 * system.lam
+            stalled = True
+        final = kernel.direction * (lam_new - stop) >= 0
+        if final:
+            lam_new = stop
 
-        incr = kernel.log_sum(system.dists, lam_new) - kernel.log_sum(system.dists, system.lam)
-        system.log_z = system.log_z + logsumexp(system.log_weights + incr, axis=0)
-        system.log_weights = system.log_weights + incr
+        system.log_weights, system.log_z = reweight(
+            system.log_weights, system.log_z, system.dists, kernel, system.lam, lam_new
+        )
         system.normalize()
         ess_sel = system.ess()
         system.lam = lam_new
@@ -597,17 +535,21 @@ def _thin_snapshots(trace: LadderTrace, max_keep: int):
         with_snap = [r for r in trace.records if r.snapshot is not None]
 
 
-def posterior_at_lambda(trace: LadderTrace, lam: float, kernel=ExponentialKernel):
-    """Particle approximation at an off-ladder lambda.
+def posterior_at_lambda(trace: LadderTrace, lam: float):
+    """Particle approximation at an off-ladder lambda (or eps, on a uniform-kernel trace).
 
     Takes the stored snapshot at the ladder step nearest lam and reweights it
-    exactly via the kernel's incremental weights.
+    exactly with the trace's kernel.  The increment is added in the order
+    (log w + log K_lam) - log K_rung, not through ``reweight``, which
+    rounds differently and would shift the experiment outputs in their last
+    digits.
     """
     candidates = [r for r in trace.records if r.snapshot is not None]
     if not candidates:
         raise InvalidConfigError("trace carries no snapshots; rerun with store_snapshots=True")
     rec = min(candidates, key=lambda r: abs(r.lam - lam))
     theta, dists, log_w = rec.snapshot
+    kernel = KERNELS[trace.kernel]
     log_w = log_w + kernel.log_sum(dists, lam) - kernel.log_sum(dists, rec.lam)
     log_w = log_w - logsumexp(log_w, axis=0)
     return theta, np.exp(log_w)

@@ -1,15 +1,17 @@
-"""Summary statistics and distances between statistic vectors.
+"""Summary statistics, distances between statistic vectors, and distance kernels.
 
 A summary statistic maps a dataset of n reals to a fixed-length vector of
 empirical means of per-observation feature maps.  Distances compare two such
 vectors; all shipped distances derive from norms, so they are jointly convex
-in both arguments.
+in both arguments.  A kernel turns a particle's M replicate distances into
+its log kernel sum, the quantity every weight, acceptance ratio and refresh
+correction of the sampler is built from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,3 +184,45 @@ def distance_batch(spec: DistanceSpec, stats: np.ndarray, observed: np.ndarray) 
     if spec.p == 1.0:
         return delta.sum(axis=-1)
     return (delta**spec.p).sum(axis=-1) ** (1.0 / spec.p)
+
+
+def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """Stable log-sum-exp; rows of all -inf map to -inf without warnings."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+    return out if axis is not None else float(out)
+
+
+class ExponentialKernel:
+    """log sum_i exp(-lambda * d_i); the lambda ladder starts at 0 and increases."""
+
+    name = "exponential"
+    start_param = 0.0
+    direction = 1.0
+
+    @staticmethod
+    def log_sum(dists: np.ndarray, lam: float) -> np.ndarray:
+        return logsumexp(-lam * dists, axis=-1)
+
+
+class UniformKernel:
+    """log #{i : d_i <= eps}; the eps ladder starts at +inf and decreases.
+
+    The accept/reject baseline: weight increments are 0 or -inf, and the
+    same ESS search that drives lambda drives eps.
+    """
+
+    name = "uniform"
+    start_param = math.inf
+    direction = -1.0
+
+    @staticmethod
+    def log_sum(dists: np.ndarray, eps: float) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.sum(dists <= eps, axis=-1).astype(float))
+
+
+KERNELS = {k.name: k for k in (ExponentialKernel, UniformKernel)}

@@ -22,9 +22,10 @@ from abcsmc.bounds import (
     mcdiarmid_f,
     nonparametric_rate,
 )
-from abcsmc.mcmc import log_acceptance_ratio
+from abcsmc.mcmc import mh_log_ratio
 from abcsmc.models import DiscreteToyModel
 from abcsmc.smc import (
+    ExponentialKernel,
     ParticleSystem,
     SMCConfig,
     ess,
@@ -195,8 +196,6 @@ def test_criterion_04_bisection_contract():
         if lam == lam_max:
             capped += 1
             continue
-        from abcsmc.smc import ExponentialKernel
-
         incr = ExponentialKernel.log_sum(dists, lam) - ExponentialKernel.log_sum(dists, system.lam)
         worst = max(worst, abs(ess(system.log_weights + incr) - tau * n) / n)
     two = ParticleSystem(
@@ -207,13 +206,24 @@ def test_criterion_04_bisection_contract():
         log_z=0.0,
         observed_stats=np.zeros(1),
     )
-    lam2 = find_next_lambda(two, tau=0.8, lam_max=10.0, tol=1e-9)
+    lam2 = find_next_lambda(two, tau=0.8, cap=10.0, tol=1e-9)
     closed_err = abs(lam2 - math.log(3.0))
     ok = worst <= 1e-4 and closed_err <= 1e-6
     _report(4, ok, f"100 random systems: max |ESS - tauN|/N = {worst:.2e} (<= 1e-4, {capped} capped); two-particle lambda error = {closed_err:.2e} (<= 1e-6)")
 
 
 def test_criterion_05_mh_correctness():
+    # the MH log ratio that rejuvenate applies, on each state's log kernel sum
+    def log_ratio(dc, dp, lam, lpc, lpp):
+        return float(
+            mh_log_ratio(
+                ExponentialKernel.log_sum(np.asarray(dc, dtype=float), lam),
+                ExponentialKernel.log_sum(np.asarray(dp, dtype=float), lam),
+                lpc,
+                lpp,
+            )
+        )
+
     # (a) acceptance ratio vs naive summation on 1000 random inputs
     rng = np.random.default_rng(5)
     worst_ratio = 0.0
@@ -227,7 +237,7 @@ def test_criterion_05_mh_correctness():
             - math.log(sum(math.exp(-lam * d) for d in dc))
             + lpp - lpc
         )
-        worst_ratio = max(worst_ratio, abs(log_acceptance_ratio(dc, dp, lam, lpc, lpp) - naive))
+        worst_ratio = max(worst_ratio, abs(log_ratio(dc, dp, lam, lpc, lpp) - naive))
 
     # (b) exact detailed balance of the 2-atom joint chain
     model = DiscreteToyModel.from_obs_probs(
@@ -253,9 +263,7 @@ def test_criterion_05_mh_correctness():
     trans = np.zeros((len(states), len(states)))
     for a, (i, x) in enumerate(states):
         for b, (j, xp) in enumerate(states):
-            ratio = log_acceptance_ratio(
-                [dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j])
-            )
+            ratio = log_ratio([dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j]))
             trans[a, b] += 0.5 * lik[j][xp] * min(1.0, math.exp(min(ratio, 0.0)))
         trans[a, a] += 1.0 - trans[a].sum()
     flow = mu[:, None] * trans
@@ -481,20 +489,37 @@ def test_criterion_12_determinism(tmp_path):
         "--override", "smc.lambda_target=4.0",
         "--override", "smc.m_max=8",
     ]
+    # the last two inputs cover the falling eps ladder and the importance-
+    # sampling M refresh: exp2 keeps its own lambda target, which is far
+    # enough for M to double once and for the damaged weights to stall
+    uniform = [
+        "--override", "smc.n_particles=2000",
+        "--override", 'smc.kernel="uniform"',
+        "--override", "smc.eps_target=0.05",
+        "--override", "smc.lambda_target=null",
+    ]
+    is_refresh = [
+        "--override", "smc.n_particles=300",
+        "--override", "smc.m_max=8",
+        "--override", 'smc.m_change="is"',
+        "--override", 'smc.on_stall="stop"',
+    ]
     overrides = {
-        "toy-discrete": [],
-        "toy-quadrature": [],
-        "exp1": shrink,
-        "exp2": shrink,
-        "exp3": shrink,
+        "toy-discrete": ("toy-discrete", []),
+        "toy-quadrature": ("toy-quadrature", []),
+        "exp1": ("exp1", shrink),
+        "exp2": ("exp2", shrink),
+        "exp3": ("exp3", shrink),
+        "toy-quadrature-uniform": ("toy-quadrature", uniform),
+        "exp2-is-refresh": ("exp2", is_refresh),
     }
     identical = {}
-    for name, extra in overrides.items():
+    for name, (preset, extra) in overrides.items():
         blobs = []
         for rep in ("a", "b"):
             out = tmp_path / f"{name}_{rep}"
             rc = cli.main(
-                ["run", "--preset", name, *extra, "--seed", "7", "--out", str(out)]
+                ["run", "--preset", preset, *extra, "--seed", "7", "--out", str(out)]
             )
             assert rc == 0
             blobs.append((out / "trace.csv").read_bytes())

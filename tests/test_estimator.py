@@ -106,3 +106,27 @@ class TestBandwidthSelection:
         est = _gaussian_estimator(select_lambda=True)
         with pytest.raises(InvalidConfigError):
             est.fit(rng.normal(size=50))
+
+
+class TestPosteriorAt:
+    def test_uniform_fit_reweights_with_the_uniform_kernel(self):
+        # a uniform-kernel fit queried just inside a rung: particles whose
+        # replicate distance exceeds the query eps get weight exactly 0
+        y = np.random.default_rng(0).normal(0.5, 1.0, size=50)
+        est = _gaussian_estimator(
+            kernel="uniform",
+            eps_target=0.05,
+            lambda_target=None,
+            n_particles=2000,
+            store_snapshots=True,
+        ).fit(y)
+        rec = est.trace_.records[-6]
+        eps = 0.98 * rec.lam
+        nearest = min(est.trace_.records, key=lambda r: abs(r.lam - eps))
+        assert nearest is rec
+        _, w = est.posterior_at(eps)
+        outside = rec.snapshot[1][:, 0] > eps
+        assert outside.any()
+        assert np.all(w[outside] == 0.0)
+        assert np.all(w[~outside] > 0.0)
+        assert w.sum() == pytest.approx(1.0)

@@ -6,14 +6,13 @@ import pytest
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError
 from abcsmc.madapt import (
     adapt_m,
-    gibbs_refresh,
     gibbs_refresh_system,
-    is_refresh_log_weight,
+    is_log_correction,
     is_refresh_system,
     retention_log_weights,
 )
 from abcsmc.models import GaussianLocationModel
-from abcsmc.smc import ParticleSystem, logsumexp, simulate_distances
+from abcsmc.smc import ParticleSystem, simulate_distances
 from abcsmc.statistics import DistanceSpec, SummarySpec, summarize
 
 
@@ -68,39 +67,27 @@ class TestGibbsRefresh:
 
     def test_retention_frequencies_match_distribution(self, rng):
         # retained replicate index k must follow p_k proportional to e^(-lam d_k)
+        # within each particle's own row: half the rows hold the reversed distances
         dists_old = np.array([0.1, 0.6, 1.4])
         lam = 2.5
         p = np.exp(-lam * dists_old)
         p /= p.sum()
-        model = GaussianLocationModel()
-        summary = SummarySpec(kind="mean")
-        dist_spec = DistanceSpec(kind="lp", p=2)
-        obs_stats = np.array([0.0])
-        hits = np.zeros(3)
         trials = 40_000
-        for _ in range(trials):
-            out = gibbs_refresh(
-                [0.0], dists_old, lam, 1, model, summary, dist_spec, obs_stats, 5, rng
-            )
-            hits[np.argmin(np.abs(dists_old - out[0]))] += 1
-        np.testing.assert_allclose(hits / trials, p, atol=0.01)
+        model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=2 * trials, m=1, lam=lam)
+        system.dists = np.concatenate([np.tile(dists_old, (trials, 1)), np.tile(dists_old[::-1], (trials, 1))])
+        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng)
+        kept = system.dists[:, 0]
+        for rows in (kept[:trials], kept[trials:]):
+            hits = np.array([np.mean(rows == v) for v in dists_old])
+            np.testing.assert_allclose(hits, p, atol=0.01)
 
     def test_kept_replicate_placed_first(self, rng):
+        model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=1, m=2, lam=3.0, n_obs=5)
         dists_old = np.array([0.5, 0.7])
-        out = gibbs_refresh(
-            [0.0],
-            dists_old,
-            3.0,
-            4,
-            GaussianLocationModel(),
-            SummarySpec(kind="mean"),
-            DistanceSpec(kind="lp", p=2),
-            np.array([0.0]),
-            5,
-            rng,
-        )
-        assert out.shape == (4,)
-        assert out[0] in dists_old
+        system.dists = dists_old[None, :].copy()
+        gibbs_refresh_system(system, 4, model, summary, dist_spec, len(obs), rng)
+        assert system.dists.shape == (1, 4)
+        assert system.dists[0, 0] in dists_old
 
     def test_system_refresh_preserves_weights_and_counts_sims(self, rng):
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=200, m=4)
@@ -141,7 +128,7 @@ class TestISRefresh:
         naive = math.log(
             (4 * np.exp(-lam * d_new).sum() / 8) / np.exp(-lam * d_old).sum()
         )
-        assert is_refresh_log_weight(d_old, d_new, lam) == pytest.approx(naive, rel=1e-12)
+        assert is_log_correction(d_old, d_new, lam) == pytest.approx(naive, rel=1e-12)
 
     def test_system_refresh_updates_weights_consistently(self, rng):
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=100, m=3)
@@ -157,11 +144,9 @@ class TestISRefresh:
         )
         assert sims == 100 * 6
         np.testing.assert_array_equal(system.dists, d_new_oracle)
-        expected = lw0 + np.array(
-            [
-                is_refresh_log_weight(d_old[i], system.dists[i], system.lam)
-                for i in range(100)
-            ]
+        lam = system.lam
+        expected = lw0 + np.log(
+            (3 * np.exp(-lam * system.dists).sum(axis=1) / 6) / np.exp(-lam * d_old).sum(axis=1)
         )
         np.testing.assert_allclose(system.log_weights, expected, rtol=1e-12)
 
@@ -177,5 +162,5 @@ class TestISRefresh:
         )[0]
         est = np.exp(-lam * draws).mean()
         # the correction ratio recentres the kernel estimate on its true mean
-        w = math.exp(is_refresh_log_weight(d_old, draws, lam))
+        w = math.exp(is_log_correction(d_old, draws, lam))
         assert w == pytest.approx(est / denom, rel=1e-10)

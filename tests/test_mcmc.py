@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abcsmc.exceptions import InvalidInputError
-from abcsmc.mcmc import calibrate, log_acceptance_ratio, rejuvenate
+from abcsmc.mcmc import calibrate, mh_log_ratio, rejuvenate
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ExponentialKernel, ParticleSystem
 from abcsmc.statistics import DistanceSpec, SummarySpec
@@ -46,6 +46,18 @@ class TestCalibrate:
             calibrate(np.zeros(5))
 
 
+def pair_log_ratio(dists_current, dists_proposal, lam, log_prior_current, log_prior_proposal):
+    """The MH log ratio ``rejuvenate`` uses, for one pair of states and their replicate distances."""
+    return float(
+        mh_log_ratio(
+            ExponentialKernel.log_sum(np.asarray(dists_current, dtype=float), lam),
+            ExponentialKernel.log_sum(np.asarray(dists_proposal, dtype=float), lam),
+            log_prior_current,
+            log_prior_proposal,
+        )
+    )
+
+
 class TestLogAcceptanceRatio:
     def test_matches_naive_on_random_inputs(self, rng):
         for _ in range(1000):
@@ -61,15 +73,15 @@ class TestLogAcceptanceRatio:
                 + lpp
                 - lpc
             )
-            got = log_acceptance_ratio(dc, dp, lam, lpc, lpp)
+            got = pair_log_ratio(dc, dp, lam, lpc, lpp)
             assert got == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
     def test_out_of_support_proposal(self):
-        assert log_acceptance_ratio([1.0], [0.5], 1.0, 0.0, -np.inf) == -np.inf
+        assert pair_log_ratio([1.0], [0.5], 1.0, 0.0, -np.inf) == -np.inf
 
-    def test_replicate_count_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            log_acceptance_ratio([1.0, 2.0], [1.0], 1.0, 0.0, 0.0)
+    def test_both_states_out_of_support_rejects(self):
+        # -inf - (-inf) is undefined; the move must be rejected, not NaN
+        assert pair_log_ratio([1.0], [0.5], 1.0, -np.inf, -np.inf) == -np.inf
 
 
 class TestRejuvenate:
@@ -102,7 +114,7 @@ class TestRejuvenate:
         trans = np.zeros((len(states), len(states)))
         for a, (i, x) in enumerate(states):
             for b, (j, xp) in enumerate(states):
-                ratio = log_acceptance_ratio(
+                ratio = pair_log_ratio(
                     [dvec[x]],
                     [dvec[xp]],
                     lam,

@@ -11,7 +11,6 @@ from abcsmc.models import (
     MixtureModel,
     TruthGenerator,
     enumerated_posterior,
-    simulate_dataset,
     three_component_truth,
 )
 from abcsmc.statistics import DistanceSpec, SummarySpec
@@ -37,7 +36,6 @@ class TestMixtureModel:
             + sps.norm.logpdf(theta[2], scale=10)
             + sps.norm.logpdf(theta[3], scale=1)
         )
-        assert model.prior_logpdf(theta) == pytest.approx(expected, rel=1e-12)
         batch = model.prior_logpdf_batch(np.stack([theta, 2 * theta]))
         assert batch[0] == pytest.approx(expected, rel=1e-12)
 
@@ -63,7 +61,7 @@ class TestMixtureModel:
 class TestGaussianLocationModel:
     def test_simulate_and_prior(self, rng):
         model = GaussianLocationModel(prior_var=4.0, noise_sd=0.5)
-        assert model.prior_logpdf([1.0]) == pytest.approx(
+        assert model.prior_logpdf_batch(np.array([[1.0]]))[0] == pytest.approx(
             sps.norm.logpdf(1.0, scale=2.0), rel=1e-12
         )
         x = model.simulate_batch(np.array([[2.0]]), 100_000, 1, rng)[0, 0]
@@ -93,11 +91,10 @@ class TestDiscreteToyModel:
 
     def test_atom_index_and_prior(self):
         model = small_discrete_model()
-        assert model.atom_index([1.0]) == 1
-        assert model.prior_logpdf([0.0]) == pytest.approx(math.log(0.6))
-        assert model.prior_logpdf([0.5]) == -math.inf
+        assert model.atom_index_batch(np.array([1.0]))[0] == 1
+        assert model.prior_logpdf_batch(np.array([[0.0], [0.5]])) == pytest.approx([math.log(0.6), -math.inf])
         with pytest.raises(InvalidParameterError):
-            model.atom_index([0.5])
+            model.atom_index_batch(np.array([0.5]))
 
     def test_enumerated_posterior_is_bayes_at_lambda(self):
         # with the identity statistic, p=1 distance, and lambda -> large,
@@ -142,11 +139,3 @@ class TestTruthGenerator:
         x = gen.sample(rng)
         assert x.mean() == pytest.approx(0.2 * 3.0, abs=0.02)
 
-
-def test_simulate_dataset_checks(rng):
-    model = MixtureModel()
-    with pytest.raises(InvalidConfigError):
-        simulate_dataset(model, np.zeros(4), 0, rng)
-    with pytest.raises(InvalidParameterError):
-        simulate_dataset(model, np.zeros(3), 5, rng)
-    assert simulate_dataset(model, np.zeros(4), 5, rng).shape == (5,)

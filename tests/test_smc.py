@@ -17,15 +17,14 @@ from abcsmc.smc import (
     UniformKernel,
     ess,
     find_next_lambda,
-    incremental_log_weight,
     load_trace_csv,
     logsumexp,
     posterior_at_lambda,
     predict_next_lambda,
+    reweight,
     run_smc,
     simulate_distances,
     systematic_resample,
-    update_log_z,
 )
 from abcsmc.statistics import DistanceSpec, SummarySpec
 
@@ -77,20 +76,22 @@ class TestLogsumexpEss:
             ess(np.full(4, -np.inf))
 
 
+def weight_increment(dists, lam_new, lam_old):
+    """The log weight increment of one particle (a row of replicate distances) under ``reweight``."""
+    log_weights, _ = reweight(np.zeros(1), 0.0, np.atleast_2d(dists), ExponentialKernel, lam_old, lam_new)
+    return log_weights[0]
+
+
 class TestIncrementalWeights:
     def test_single_replicate_closed_form(self):
         # with M = 1 the increment is exactly -(new - old) * d
-        assert incremental_log_weight([2.0], 3.0, 1.0) == pytest.approx(-4.0, rel=1e-12)
+        assert weight_increment([2.0], 3.0, 1.0) == pytest.approx(-4.0, rel=1e-12)
 
     def test_matches_naive_average(self, rng):
         d = rng.exponential(size=8)
         lam_new, lam_old = 2.5, 1.0
         naive = math.log(np.exp(-lam_new * d).sum()) - math.log(np.exp(-lam_old * d).sum())
-        assert incremental_log_weight(d, lam_new, lam_old) == pytest.approx(naive, rel=1e-12)
-
-    def test_requires_increasing_lambda(self):
-        with pytest.raises(InvalidConfigError):
-            incremental_log_weight([1.0], 1.0, 2.0)
+        assert weight_increment(d, lam_new, lam_old) == pytest.approx(naive, rel=1e-12)
 
 
 class TestSystematicResample:
@@ -122,41 +123,66 @@ class TestSystematicResample:
         assert np.all(systematic_resample(w, 0.7) == 1)
 
 
+def naive_ess(system, kernel, new):
+    """ESS after moving the system's weights to ``new``, from plain kernel sums."""
+    d, old = system.dists, system.lam
+    if kernel is ExponentialKernel:
+        ratio = np.exp(-new * d).sum(axis=1) / np.exp(-old * d).sum(axis=1)
+    else:
+        ratio = (d <= new).sum(axis=1) / (d <= old).sum(axis=1)
+    w = np.exp(system.log_weights) * ratio
+    return w.sum() ** 2 / (w**2).sum()
+
+
+# (kernel, start of its ladder, a reachable cap for distances of 1.0)
+KERNEL_CASES = [(ExponentialKernel, 0.0, 7.5), (UniformKernel, math.inf, 1.0)]
+
+
 class TestFindNextLambda:
+    # every test but the closed form runs on both ladders: lambda up, eps down
+
     def test_two_particle_closed_form(self):
         # two particles at distances 0 and 1: ESS(lambda) = tau*2 at
         # e^(-lambda) = 1/3, i.e. lambda = log 3 for tau = 0.8
         system = make_system([[0.0], [1.0]])
-        lam = find_next_lambda(system, tau=0.8, lam_max=10.0, tol=1e-9)
+        lam = find_next_lambda(system, tau=0.8, cap=10.0, tol=1e-9)
         assert lam == pytest.approx(math.log(3.0), abs=1e-6)
 
     def test_contract_on_random_systems(self, rng):
-        hits_cap = 0
-        for _ in range(100):
-            n = int(rng.integers(5, 60))
-            m = int(rng.integers(1, 4))
-            system = make_system(rng.exponential(size=(n, m)), lam=float(rng.random()))
-            tau = float(rng.uniform(0.3, 0.95))
-            lam_max = system.lam + float(rng.uniform(0.5, 20.0))
-            lam = find_next_lambda(system, tau, lam_max, tol=1e-4)
-            if lam == lam_max:
-                hits_cap += 1
-                continue
-            incr = ExponentialKernel.log_sum(system.dists, lam) - ExponentialKernel.log_sum(
-                system.dists, system.lam
-            )
-            assert abs(ess(system.log_weights + incr) - tau * n) <= 1e-4 * n
-        assert hits_cap < 100  # at least some interior solutions exercised
+        for kernel, start, _ in KERNEL_CASES:
+            hits_cap = 0
+            for _ in range(100):
+                exponential = kernel is ExponentialKernel
+                n = int(rng.integers(5, 60))
+                m = int(rng.integers(1, 4))
+                dists = rng.exponential(size=(n, m))
+                system = make_system(dists, lam=float(rng.random()) if exponential else start)
+                tau = float(rng.uniform(0.3, 0.95))
+                cap = system.lam + float(rng.uniform(0.5, 20.0)) if exponential else float(rng.uniform(0.0, 0.5))
+                new = find_next_lambda(system, tau, cap, 1e-4, kernel)
+                assert kernel.direction * (new - system.lam) > 0, kernel.name
+                if new == cap:
+                    hits_cap += 1
+                    continue
+                got = naive_ess(system, kernel, new)
+                if exponential:
+                    assert abs(got - tau * n) <= 1e-4 * n
+                else:
+                    # the ESS is a step function of eps: the contract is one-sided
+                    assert got >= tau * n - 1e-4 * n
+            assert hits_cap < 100, kernel.name  # at least some interior solutions exercised
 
     def test_stall_raises(self):
         lw = np.log(np.array([0.999, 0.001]))
-        system = make_system([[0.0], [1.0]], log_weights=lw)
-        with pytest.raises(LadderStallError):
-            find_next_lambda(system, tau=0.9, lam_max=5.0)
+        for kernel, start, cap in KERNEL_CASES:
+            system = make_system([[0.0], [1.0]], lam=start, log_weights=lw)
+            with pytest.raises(LadderStallError):
+                find_next_lambda(system, 0.9, cap, kernel=kernel)
 
     def test_identical_distances_hit_cap(self):
-        system = make_system([[1.0], [1.0], [1.0]])
-        assert find_next_lambda(system, 0.9, 7.5) == 7.5
+        for kernel, start, cap in KERNEL_CASES:
+            system = make_system([[1.0], [1.0], [1.0]], lam=start)
+            assert find_next_lambda(system, 0.9, cap, kernel=kernel) == cap
 
 
 class TestPredictNextLambda:
@@ -177,14 +203,13 @@ class TestUpdateLogZ:
         d = rng.exponential(size=(30, 2))
         lw = rng.normal(size=30)
         lw -= logsumexp(lw, axis=0)
-        system = make_system(d, lam=0.5, log_weights=lw)
-        system.log_z = -1.25
         lam_new = 1.7
         w = np.exp(lw)
         naive = -1.25 + math.log(
             np.sum(w * (np.exp(-lam_new * d).sum(axis=1) / np.exp(-0.5 * d).sum(axis=1)))
         )
-        assert update_log_z(system, lam_new) == pytest.approx(naive, rel=1e-12)
+        _, log_z = reweight(lw, -1.25, d, ExponentialKernel, 0.5, lam_new)
+        assert log_z == pytest.approx(naive, rel=1e-12)
 
 
 class TestSimulateDistances:
