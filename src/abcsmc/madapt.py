@@ -5,7 +5,8 @@ for a lower-variance kernel estimate.  Two refresh rules change M in flight,
 each applied to the whole particle system at once:
 
 - Gibbs refresh (``gibbs_refresh_system``): each particle retains one
-  existing replicate with probability proportional to exp(-lambda * d_k),
+  existing replicate with probability proportional to its kernel value
+  K(d_k) -- exp(-lambda * d_k), or 1{d_k <= eps} on the uniform kernel --
   then simulates the remaining M'-1 afresh.  This is an exact conditional
   draw from the augmented target, so particle weights are untouched.
 - Importance-sampling refresh (``is_refresh_system``): replace all
@@ -35,17 +36,17 @@ def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> tuple[
     return m, False
 
 
-def retention_log_weights(dists: np.ndarray, lam: float) -> np.ndarray:
-    """Unnormalized log retention weights -lam * d_k over a particle's replicates."""
-    return -lam * np.asarray(dists, dtype=float)
+def retention_log_weights(dists: np.ndarray, lam: float, kernel) -> np.ndarray:
+    """Unnormalized log retention weights log K(d_k) over a particle's replicates."""
+    return kernel.log_k(np.asarray(dists, dtype=float), lam)
 
 
-def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -> int:
+def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel) -> int:
     """Vectorized Gibbs refresh of the whole population; returns simulator calls."""
     from .smc import simulate_distances
 
     n, m_old = system.dists.shape
-    lw = retention_log_weights(system.dists, system.lam)
+    lw = retention_log_weights(system.dists, system.lam, kernel)
     p = np.exp(lw - lw.max(axis=1, keepdims=True))
     cum = np.cumsum(p, axis=1)
     cum /= cum[:, -1:]
@@ -62,27 +63,30 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -
     return n * (m_new - 1)
 
 
-def is_log_correction(dists_old: np.ndarray, dists_new: np.ndarray, lam: float) -> np.ndarray:
+def is_log_correction(
+    dists_old: np.ndarray, dists_new: np.ndarray, lam: float, kernel=ExponentialKernel
+) -> np.ndarray:
     """Per-particle log importance correction for replacing M old replicates by M' fresh ones.
 
-    log w = log [M sum_i e^(-lam d~_i)] - log [M' sum_i e^(-lam d_i)], with
-    the old distances d and the fresh ones d~ in the rows of the two arrays.
+    log w = log [M sum_i K(d~_i)] - log [M' sum_i K(d_i)], with the old
+    distances d and the fresh ones d~ in the rows of the two arrays and K
+    the kernel at lam (e^(-lam d) by default).
     """
     return (
         np.log(dists_old.shape[-1])
         - np.log(dists_new.shape[-1])
-        + ExponentialKernel.log_sum(dists_new, lam)
-        - ExponentialKernel.log_sum(dists_old, lam)
+        + kernel.log_sum(dists_new, lam)
+        - kernel.log_sum(dists_old, lam)
     )
 
 
-def is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng) -> int:
+def is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel) -> int:
     """Replace all replicates by fresh ones and apply the importance correction."""
     from .smc import simulate_distances
 
     d_new = simulate_distances(
         model, system.theta, n_obs, m_new, rng, summary, dist_spec, system.observed_stats
     )
-    system.log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam)
+    system.log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam, kernel)
     system.dists = d_new
     return system.n_particles * m_new

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
-from .statistics import distance_batch, summarize, summarize_batch
+from .statistics import distance_batch, row_blocks, summarize, summarize_batch
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -70,14 +70,30 @@ class MixtureModel(GenerativeModel):
         return -0.5 * (z * z).sum(axis=1) - 2.0 * _LOG_2PI - np.log(self._prior_sd).sum()
 
     def simulate_batch(self, thetas, n, m, rng):
+        """Simulate m datasets of size n for each row of thetas; shape (B, m, n).
+
+        Stream contract: all B*m*n uniforms (the component labels) are drawn
+        first, then all B*m*n standard normals, each in C order of the
+        output.  Draws are made on consecutive row blocks of the output, so
+        the generator is consumed exactly as by one-shot draws of the full
+        shape and the block size never changes a value.  Each observation is
+        mu + s*z with (mu, s) of the label's component, applied in place.
+        """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
         mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
         mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
-        pick1 = rng.random((thetas.shape[0], m, n)) < self.p
-        z = rng.normal(size=(thetas.shape[0], m, n))
-        return np.where(pick1, mu1 + s1 * z, mu2 + s2 * z)
+        out = np.empty((thetas.shape[0], m, n))
+        pick1 = np.empty(out.shape, dtype=bool)
+        blocks = list(row_blocks(thetas.shape[0], m * n))
+        for b0, b1 in blocks:
+            np.less(rng.random(out=out[b0:b1]), self.p, out=pick1[b0:b1])
+        for b0, b1 in blocks:
+            z, pick = rng.standard_normal(out=out[b0:b1]), pick1[b0:b1]
+            z *= np.where(pick, s1[b0:b1], s2[b0:b1])
+            z += np.where(pick, mu1[b0:b1], mu2[b0:b1])
+        return out
 
 
 class GaussianLocationModel(GenerativeModel):
@@ -109,7 +125,9 @@ class GaussianLocationModel(GenerativeModel):
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
         z = rng.normal(size=(thetas.shape[0], m, n))
-        return thetas[:, 0, None, None] + self.noise_sd * z
+        z *= self.noise_sd
+        z += thetas[:, 0, None, None]
+        return z
 
 
 class DiscreteToyModel(GenerativeModel):

@@ -21,6 +21,7 @@ from . import madapt, mcmc
 from .exceptions import (
     DegenerateSystemError,
     InvalidConfigError,
+    InvalidInputError,
     LadderStallError,
 )
 from .models import GenerativeModel
@@ -79,8 +80,21 @@ def reweight(log_weights, log_z, dists, kernel, old, new):
     log Z gains the log of the weighted mean ratio (``log_weights``
     normalized).  Returns the unnormalized log weights and the new log Z.
     """
-    log_weights = log_weights + (kernel.log_sum(dists, new) - kernel.log_sum(dists, old))
+    log_weights = log_weights + (kernel.log_sum(dists, new) - _rung_log_sums(kernel, dists, old, log_weights))
     return log_weights, log_z + logsumexp(log_weights, axis=0)
+
+
+def _rung_log_sums(kernel, dists: np.ndarray, param: float, log_weights: np.ndarray) -> np.ndarray:
+    """Log kernel sums at the current rung, the denominator of a weight increment.
+
+    A zero-weight particle gets 0 in place of its sum.  Under the uniform
+    kernel an IS refresh zeroes a particle whose fresh replicates all fall
+    outside eps; its sums are -inf from then on, and -inf - (-inf) would be
+    NaN.  With 0 its log weight stays -inf.
+    """
+    sums = kernel.log_sum(dists, param)
+    sums[np.isneginf(log_weights)] = 0.0
+    return sums
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -184,7 +198,7 @@ def find_next_lambda(
     """
     n = system.n_particles
     target = tau * n
-    base = kernel.log_sum(system.dists, system.lam)
+    base = _rung_log_sums(kernel, system.dists, system.lam, system.log_weights)
 
     def ess_at(param: float) -> float:
         lw = system.log_weights + kernel.log_sum(system.dists, param) - base
@@ -364,7 +378,11 @@ class SMCConfig:
 
 
 def _init_system(config, model, summary, dist_spec, observations, rng) -> ParticleSystem:
+    if not np.all(np.isfinite(observations)):
+        raise InvalidInputError("observations must be finite")
     obs_stats = summarize(summary, observations)
+    if not np.all(np.isfinite(obs_stats)):
+        raise InvalidInputError("observed statistics are not finite")
     n_obs = len(observations)
     theta = model.prior_sample(rng, config.n_particles)
     dists = simulate_distances(model, theta, n_obs, config.initial_m, rng, summary, dist_spec, obs_stats)
@@ -482,9 +500,9 @@ def run_smc(
             m_new = m
         if m_new != m:
             if config.m_change == "gibbs":
-                sc = madapt.gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng)
+                sc = madapt.gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel)
             else:
-                sc = madapt.is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng)
+                sc = madapt.is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel)
                 system.normalize()
             system.sim_calls += sc
             m = m_new
@@ -550,6 +568,6 @@ def posterior_at_lambda(trace: LadderTrace, lam: float):
     rec = min(candidates, key=lambda r: abs(r.lam - lam))
     theta, dists, log_w = rec.snapshot
     kernel = KERNELS[trace.kernel]
-    log_w = log_w + kernel.log_sum(dists, lam) - kernel.log_sum(dists, rec.lam)
+    log_w = log_w + kernel.log_sum(dists, lam) - _rung_log_sums(kernel, dists, rec.lam, log_w)
     log_w = log_w - logsumexp(log_w, axis=0)
     return theta, np.exp(log_w)

@@ -3,8 +3,9 @@
 A summary statistic maps a dataset of n reals to a fixed-length vector of
 empirical means of per-observation feature maps.  Distances compare two such
 vectors; all shipped distances derive from norms, so they are jointly convex
-in both arguments.  A kernel turns a particle's M replicate distances into
-its log kernel sum, the quantity every weight, acceptance ratio and refresh
+in both arguments.  A kernel gives the log kernel value of each replicate
+distance (``log_k``) and a particle's log kernel sum over its M replicates
+(``log_sum``), the quantity every weight, acceptance ratio and refresh
 correction of the sampler is built from.
 """
 
@@ -19,6 +20,7 @@ from .exceptions import InvalidConfigError, InvalidInputError
 
 SUMMARY_KINDS = ("moments_and_tails", "indicator_grid", "identity", "mean")
 DISTANCE_KINDS = ("lp", "sup", "scaled_empirical_l2")
+BLOCK_ELEMENTS = 1 << 16  # elements per row block of the simulate and summarise loops (512 KiB of float64)
 
 
 @dataclass(frozen=True)
@@ -116,31 +118,61 @@ def summarize_batch(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.shape[-1] == 0:
         raise InvalidInputError("summarize expects non-empty datasets")
+    if spec.kind in ("moments_and_tails", "indicator_grid"):
+        return _feature_means(spec, data)
     if spec.clamp is not None:
         data = np.clip(data, spec.clamp[0], spec.clamp[1])
-    if spec.kind == "moments_and_tails":
-        x2 = data * data
-        feats = np.stack(
-            [
-                data.mean(axis=-1),
-                x2.mean(axis=-1),
-                (x2 * data).mean(axis=-1),
-                (x2 * x2).mean(axis=-1),
-                (data < -1.0).mean(axis=-1),
-                (data > 2.0).mean(axis=-1),
-            ],
-            axis=-1,
-        )
-        if spec.normalize:
-            c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
-            feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
-        return feats
-    if spec.kind == "indicator_grid":
-        t = np.asarray(spec.thresholds)
-        return (data[..., :, None] < t).mean(axis=-2)
     if spec.kind == "mean":
         return data.mean(axis=-1, keepdims=True)
     return data  # identity
+
+
+def rows_per_block(row_len: int) -> int:
+    """Rows of row_len elements that fill one block of BLOCK_ELEMENTS (at least one)."""
+    return max(1, BLOCK_ELEMENTS // row_len)
+
+
+def row_blocks(rows: int, row_len: int):
+    """Consecutive (start, stop) row ranges of ``rows_per_block(row_len)`` rows each."""
+    step = rows_per_block(row_len)
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
+
+
+def _feature_means(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
+    """Dataset means of the moment or indicator features, one row block at a time.
+
+    The clipped data and its powers live in block-sized buffers that are
+    reused for every block, so no full-size temporary is built and the
+    caller's array is never written.  Each feature is the ``.mean`` of the
+    same values as the one-shot formula, so the result is the same bits.
+    """
+    n = data.shape[-1]
+    rows = data.reshape(-1, n)
+    feats = np.empty((rows.shape[0], spec.dim()))
+    buf_rows = min(rows.shape[0], rows_per_block(n))
+    x_buf, x2_buf, xk_buf = np.empty((3, buf_rows, n))
+    flag_buf = np.empty((buf_rows, n), dtype=bool)
+    for r0, r1 in row_blocks(rows.shape[0], n):
+        k = r1 - r0
+        x, flag, out = rows[r0:r1], flag_buf[:k], feats[r0:r1]
+        if spec.clamp is not None:
+            x = np.clip(x, *spec.clamp, out=x_buf[:k])
+        if spec.kind == "indicator_grid":
+            for j, t in enumerate(spec.thresholds):
+                out[:, j] = np.less(x, t, out=flag).mean(axis=-1)
+        else:
+            x2 = np.multiply(x, x, out=x2_buf[:k])
+            out[:, 0] = x.mean(axis=-1)
+            out[:, 1] = x2.mean(axis=-1)
+            out[:, 2] = np.multiply(x2, x, out=xk_buf[:k]).mean(axis=-1)
+            out[:, 3] = np.multiply(x2, x2, out=xk_buf[:k]).mean(axis=-1)
+            out[:, 4] = np.less(x, -1.0, out=flag).mean(axis=-1)
+            out[:, 5] = np.greater(x, 2.0, out=flag).mean(axis=-1)
+    if spec.normalize:
+        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
+        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
+    return feats.reshape(data.shape[:-1] + (feats.shape[1],))
 
 
 @dataclass(frozen=True)
@@ -204,6 +236,10 @@ class ExponentialKernel:
     direction = 1.0
 
     @staticmethod
+    def log_k(dists: np.ndarray, lam: float) -> np.ndarray:
+        return -lam * dists
+
+    @staticmethod
     def log_sum(dists: np.ndarray, lam: float) -> np.ndarray:
         return logsumexp(-lam * dists, axis=-1)
 
@@ -218,6 +254,10 @@ class UniformKernel:
     name = "uniform"
     start_param = math.inf
     direction = -1.0
+
+    @staticmethod
+    def log_k(dists: np.ndarray, eps: float) -> np.ndarray:
+        return np.where(dists <= eps, 0.0, -math.inf)
 
     @staticmethod
     def log_sum(dists: np.ndarray, eps: float) -> np.ndarray:

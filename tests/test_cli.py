@@ -88,6 +88,19 @@ class TestRun:
         )
         assert rc == 2
 
+    def test_non_finite_observations_exit_2(self, tmp_path, capsys):
+        from abcsmc.config import dumps_config, preset
+
+        cfg = preset("toy-quadrature")
+        del cfg["truth"]
+        cfg["observations"] = [0.1, float("nan"), -0.4]
+        cfg["smc"]["n_particles"] = 200
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dumps_config(cfg))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_degenerate_run_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise LadderStallError("forced")

@@ -13,7 +13,7 @@ from abcsmc.madapt import (
 )
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ParticleSystem, simulate_distances
-from abcsmc.statistics import DistanceSpec, SummarySpec, summarize
+from abcsmc.statistics import DistanceSpec, ExponentialKernel, SummarySpec, UniformKernel, summarize
 
 
 class TestAdaptM:
@@ -62,7 +62,7 @@ def _gaussian_setup(rng, n, m, lam=2.0, n_obs=25):
 class TestGibbsRefresh:
     def test_retention_log_weights(self):
         np.testing.assert_allclose(
-            retention_log_weights([1.0, 2.0], 3.0), [-3.0, -6.0], rtol=1e-15
+            retention_log_weights([1.0, 2.0], 3.0, ExponentialKernel), [-3.0, -6.0], rtol=1e-15
         )
 
     def test_retention_frequencies_match_distribution(self, rng):
@@ -75,7 +75,7 @@ class TestGibbsRefresh:
         trials = 40_000
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=2 * trials, m=1, lam=lam)
         system.dists = np.concatenate([np.tile(dists_old, (trials, 1)), np.tile(dists_old[::-1], (trials, 1))])
-        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng)
+        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
         kept = system.dists[:, 0]
         for rows in (kept[:trials], kept[trials:]):
             hits = np.array([np.mean(rows == v) for v in dists_old])
@@ -85,7 +85,7 @@ class TestGibbsRefresh:
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=1, m=2, lam=3.0, n_obs=5)
         dists_old = np.array([0.5, 0.7])
         system.dists = dists_old[None, :].copy()
-        gibbs_refresh_system(system, 4, model, summary, dist_spec, len(obs), rng)
+        gibbs_refresh_system(system, 4, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
         assert system.dists.shape == (1, 4)
         assert system.dists[0, 0] in dists_old
 
@@ -93,7 +93,7 @@ class TestGibbsRefresh:
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=200, m=4)
         lw_before = system.log_weights.copy()
         old_dists = system.dists.copy()
-        sims = gibbs_refresh_system(system, 8, model, summary, dist_spec, len(obs), rng)
+        sims = gibbs_refresh_system(system, 8, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
         assert sims == 200 * 7
         assert system.dists.shape == (200, 8)
         np.testing.assert_array_equal(system.log_weights, lw_before)
@@ -109,13 +109,26 @@ class TestGibbsRefresh:
         system.dists = np.tile(fixed, (30_000, 1))
         p = np.exp(-system.lam * fixed)
         p /= p.sum()
-        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng)
+        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
         freqs = np.array([np.mean(system.dists[:, 0] == v) for v in fixed])
         np.testing.assert_allclose(freqs, p, atol=0.01)
 
+    def test_uniform_kernel_keeps_only_replicates_inside_eps(self, rng):
+        # under the uniform kernel the exact conditional is uniform over the
+        # replicates with d <= eps: the one outside the window is never kept
+        n = 10_000
+        model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=n, m=2, lam=1.0)
+        system.dists = np.tile([0.5, 2.0], (n, 1))
+        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, UniformKernel)
+        np.testing.assert_array_equal(system.dists[:, 0], 0.5)
+        system.dists = np.tile([0.5, 0.9, 2.0], (n, 1))
+        gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, UniformKernel)
+        assert not np.any(system.dists[:, 0] == 2.0)
+        assert np.mean(system.dists[:, 0] == 0.5) == pytest.approx(0.5, abs=0.02)
+
     def test_shrinking_m(self, rng):
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=50, m=6)
-        sims = gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng)
+        sims = gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
         assert sims == 0
         assert system.dists.shape == (50, 1)
 
@@ -130,6 +143,16 @@ class TestISRefresh:
         )
         assert is_log_correction(d_old, d_new, lam) == pytest.approx(naive, rel=1e-12)
 
+    def test_uniform_kernel_correction_counts_window_hits(self):
+        eps = 1.0
+        d_old = np.array([[0.5, 2.0], [0.2, 0.9]])
+        d_new = np.array([[0.1, 0.3, 1.5], [3.0, 4.0, 5.0]])
+        # log [M #{d~ <= eps}] - log [M' #{d <= eps}]
+        expected = [math.log(2 * 2 / (3 * 1)), -math.inf]
+        out = is_log_correction(d_old, d_new, eps, UniformKernel)
+        assert out[0] == pytest.approx(expected[0], rel=1e-12)
+        assert out[1] == expected[1]
+
     def test_system_refresh_updates_weights_consistently(self, rng):
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=100, m=3)
         lw0 = system.log_weights.copy()
@@ -138,7 +161,7 @@ class TestISRefresh:
         system_rng = np.random.default_rng(999)
         # run the system refresh with a cloned stream, then replay the
         # simulation alone to recover the fresh distances as an oracle
-        sims = is_refresh_system(system, 6, model, summary, dist_spec, len(obs), system_rng)
+        sims = is_refresh_system(system, 6, model, summary, dist_spec, len(obs), system_rng, ExponentialKernel)
         d_new_oracle = simulate_distances(
             model, system.theta, len(obs), 6, rng_clone, summary, dist_spec, system.observed_stats
         )

@@ -13,7 +13,7 @@ from abcsmc.models import (
     enumerated_posterior,
     three_component_truth,
 )
-from abcsmc.statistics import DistanceSpec, SummarySpec
+from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec
 
 
 def small_discrete_model():
@@ -47,6 +47,26 @@ class TestMixtureModel:
         second = 0.8 * 1.0 + 0.2 * (9.0 + 0.25)
         assert (x**2).mean() == pytest.approx(second, rel=0.02)
 
+    @pytest.mark.parametrize(
+        "b,m,n",
+        [
+            (1, 4, 90),  # a single parameter row
+            (200, 8, 90),  # 91 rows per block: B is not a multiple of it
+            (3, 2, BLOCK_ELEMENTS // 2 + 10),  # m*n exceeds one block: one row per block
+            (50, 1, 90),  # m = 1
+        ],
+    )
+    def test_blocked_draws_equal_one_shot_formula(self, rng, b, m, n):
+        model = MixtureModel(p=0.7)
+        thetas = model.prior_sample(rng, b)
+        out = model.simulate_batch(thetas, n, m, np.random.default_rng(42))
+        naive_rng = np.random.default_rng(42)
+        mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
+        mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
+        u = naive_rng.random((b, m, n))
+        z = naive_rng.normal(size=(b, m, n))
+        assert np.array_equal(out, np.where(u < 0.7, mu1 + s1 * z, mu2 + s2 * z))
+
     def test_bad_parameters(self, rng):
         model = MixtureModel()
         with pytest.raises(InvalidParameterError):
@@ -67,6 +87,13 @@ class TestGaussianLocationModel:
         x = model.simulate_batch(np.array([[2.0]]), 100_000, 1, rng)[0, 0]
         assert x.mean() == pytest.approx(2.0, abs=0.02)
         assert x.std() == pytest.approx(0.5, rel=0.02)
+
+    def test_in_place_affine_map_equals_one_shot_formula(self, rng):
+        model = GaussianLocationModel(noise_sd=0.7)
+        thetas = model.prior_sample(rng, 30)
+        out = model.simulate_batch(thetas, 90, 5, np.random.default_rng(8))
+        z = np.random.default_rng(8).normal(size=(30, 5, 90))
+        assert np.array_equal(out, thetas[:, 0, None, None] + 0.7 * z)
 
 
 class TestDiscreteToyModel:

@@ -6,6 +6,7 @@ import pytest
 from abcsmc.exceptions import (
     DegenerateSystemError,
     InvalidConfigError,
+    InvalidInputError,
     LadderStallError,
 )
 from abcsmc.models import DiscreteToyModel, GaussianLocationModel
@@ -314,6 +315,50 @@ class TestRunSMC:
             SMCConfig(on_stall="bogus").validate()
         for mode in ("raise", "stop", "advance"):
             SMCConfig(on_stall=mode).validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observations_rejected(self, bad):
+        obs = np.random.default_rng(0).normal(0.5, 1.0, size=50)
+        obs[7] = bad
+        cfg = SMCConfig(n_particles=200, lambda_target=3.0, adapt_m=False, seed=0)
+        with pytest.raises(InvalidInputError):
+            run_smc(cfg, GaussianLocationModel(), SummarySpec(kind="mean"), DistanceSpec(), obs)
+
+    @pytest.mark.parametrize("change,schedule", [("gibbs", {2: 1}), ("is", {2: 3})])
+    def test_uniform_kernel_m_change_respects_the_window(self, change, schedule):
+        # M changes at step 2 under the uniform kernel: the Gibbs refresh keeps
+        # a replicate inside eps, and the IS correction zeroes exactly the
+        # particles whose fresh replicates all fall outside it.  The zeroed
+        # particles stay at weight zero on the later rungs, so the run reaches
+        # eps_target with a finite log Z
+        obs = np.random.default_rng(1).normal(0.5, 1.0, size=20)
+        cfg = SMCConfig(
+            n_particles=400,
+            kernel="uniform",
+            eps_target=0.01,
+            lambda_target=None,
+            tau=0.5,
+            initial_m=2,
+            m_schedule=schedule,
+            m_change=change,
+            store_snapshots=True,
+            seed=3,
+        )
+        _, trace = run_smc(cfg, GaussianLocationModel(), SummarySpec(kind="mean"), DistanceSpec(), obs)
+        assert trace.status == "ok" and trace.records[-1].lam == 0.01
+        assert len(trace.records) > 2
+        assert all(np.isfinite(r.log_z) and np.isfinite(r.ess) for r in trace.records)
+        rec = trace.records[1]
+        _, dists, log_w = rec.snapshot
+        in_window = np.isfinite(UniformKernel.log_sum(dists, rec.lam))
+        if change == "gibbs":
+            assert np.all(dists[:, 0] <= rec.lam)
+        else:
+            assert 0 < np.sum(~in_window) < len(in_window)
+            np.testing.assert_array_equal(np.isfinite(log_w), in_window)
+            _, w = posterior_at_lambda(trace, rec.lam)
+            assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0)
+            np.testing.assert_array_equal(w > 0, in_window)
 
     def test_m_schedule_forced(self):
         model, summary, dist, obs = _toy_problem()

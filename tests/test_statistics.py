@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError
 from abcsmc.statistics import (
+    BLOCK_ELEMENTS,
     DistanceSpec,
     SummarySpec,
     distance,
     distance_batch,
+    rows_per_block,
     summarize,
     summarize_batch,
 )
@@ -102,6 +104,63 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             summarize(SummarySpec(), [])
+
+
+def one_shot_summaries(spec, data):
+    """The full-size-temporary formula: clip copy, x^2, x^3, x^4 and one array per feature."""
+    if spec.clamp is not None:
+        data = np.clip(data, spec.clamp[0], spec.clamp[1])
+    if spec.kind == "indicator_grid":
+        return (data[..., :, None] < np.asarray(spec.thresholds)).mean(axis=-2)
+    x2 = data * data
+    feats = np.stack(
+        [
+            data.mean(axis=-1),
+            x2.mean(axis=-1),
+            (x2 * data).mean(axis=-1),
+            (x2 * x2).mean(axis=-1),
+            (data < -1.0).mean(axis=-1),
+            (data > 2.0).mean(axis=-1),
+        ],
+        axis=-1,
+    )
+    if spec.normalize:
+        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
+        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
+    return feats
+
+
+class TestBlockedSummaries:
+    SPECS = [
+        SummarySpec(),
+        SummarySpec(clamp=(-5.0, 5.0)),
+        SummarySpec(clamp=(-2.0, 4.0), normalize=True),
+        SummarySpec(kind="indicator_grid", thresholds=(-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)),
+        SummarySpec(kind="indicator_grid", thresholds=(-0.5, 0.5), clamp=(-1.0, 1.0)),
+    ]
+    SHAPES = [
+        (40, 25, 90),  # (B, m) leading shape, more rows than one block
+        (90,),  # a single dataset
+        (4, 100, 200),  # n > 128, past numpy's pairwise-sum block, several blocks
+        (2, 3, BLOCK_ELEMENTS + 7),  # one dataset longer than a block
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_one_shot_formula(self, rng, spec, shape):
+        data = 2.0 * rng.standard_normal(shape) + 0.3
+        before = data.copy()
+        out = summarize_batch(spec, data)
+        expected = one_shot_summaries(spec, before)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+        assert np.array_equal(data, before)  # the caller's array is not written
+
+    def test_rows_per_block_boundary(self, rng):
+        rows = rows_per_block(90)
+        for n_rows in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            data = rng.standard_normal((n_rows, 90))
+            assert np.array_equal(summarize_batch(SummarySpec(), data), one_shot_summaries(SummarySpec(), data))
 
 
 class TestDistance:
