@@ -47,7 +47,11 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, k
 
     n, m_old = system.dists.shape
     lw = retention_log_weights(system.dists, system.lam, kernel)
-    p = np.exp(lw - lw.max(axis=1, keepdims=True))
+    top = lw.max(axis=1, keepdims=True)
+    # a particle with no kernel mass has zero target density: keep any replicate, uniformly
+    empty = np.isneginf(top[:, 0])
+    lw[empty] = top[empty] = 0.0
+    p = np.exp(lw - top)
     cum = np.cumsum(p, axis=1)
     cum /= cum[:, -1:]
     u = rng.random(n)

@@ -3,9 +3,13 @@
 The model interface is a prior over an unconstrained parameter vector
 (``prior_sample`` and ``prior_logpdf_batch``) plus one simulator,
 ``simulate_batch``, which draws m datasets of n reals for every parameter
-row at once.  All randomness flows through caller-supplied
-``numpy.random.Generator`` streams, so a fixed seed reproduces datasets bit
-for bit.
+row at once.  ``reduced(summary, n)`` names a cheaper simulator with the same
+statistic law: a model and a dataset size n' <= n whose ``summary``
+statistics are distributed as this model's at size n.  The sampler simulates
+through it; code that needs the data itself (truth draws, posterior
+predictive checks) calls ``simulate_batch`` at the full size.  All randomness
+flows through caller-supplied ``numpy.random.Generator`` streams, so a fixed
+seed reproduces datasets bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class GenerativeModel:
     def simulate_batch(self, thetas: np.ndarray, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         """Simulate m datasets of size n for each row of thetas; shape (B, m, n)."""
         raise NotImplementedError
+
+    def reduced(self, summary, n: int) -> tuple[GenerativeModel, int]:
+        """A model and size n' <= n whose ``summary`` statistics have this model's law at size n."""
+        return self, n
 
 
 class MixtureModel(GenerativeModel):
@@ -128,6 +136,16 @@ class GaussianLocationModel(GenerativeModel):
         z *= self.noise_sd
         z += thetas[:, 0, None, None]
         return z
+
+    def reduced(self, summary, n):
+        """The unclamped sample mean of n draws is exactly N(theta, noise_sd^2 / n): one draw at that sd.
+
+        A clamped mean is not Gaussian, and other statistics need every
+        observation, so they keep the full dataset.
+        """
+        if summary.kind == "mean" and summary.clamp is None and n > 1:
+            return GaussianLocationModel(self.prior_var, self.noise_sd / math.sqrt(n)), 1
+        return self, n
 
 
 class DiscreteToyModel(GenerativeModel):

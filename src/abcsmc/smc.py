@@ -51,9 +51,13 @@ def simulate_distances(
 ) -> np.ndarray:
     """Distances of m fresh replicate datasets per particle to the observed stats.
 
-    Replicates are simulated in chunks so the raw (N, chunk, n) array stays
-    bounded in memory regardless of how large M grows.
+    The datasets are drawn from ``model.reduced(summary, n_obs)``, which
+    gives the same statistic law at a size of at most n_obs (the Gaussian
+    sample mean is drawn as one observation).  Replicates are simulated in
+    chunks so the raw (N, chunk, n) array stays bounded in memory regardless
+    of how large M grows.
     """
+    model, n_obs = model.reduced(summary, n_obs)
     n_particles = theta.shape[0]
     chunk = max(1, min(m, max_elements // max(1, n_particles * n_obs)))
     out = np.empty((n_particles, m))
@@ -272,6 +276,7 @@ class LadderTrace:
         header = ["step", "lambda", "ess", "accept_rate", "M", "log_z"]
         header += [f"theta_mean_{i + 1}" for i in range(d)]
         header += [f"theta_sd_{i + 1}" for i in range(d)]
+        header += ["ess_post_refresh"]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -279,6 +284,7 @@ class LadderTrace:
                 row = [r.step, _fmt(r.lam), _fmt(r.ess), _fmt(r.accept_rate), r.m, _fmt(r.log_z)]
                 row += [_fmt(x) for x in r.theta_mean]
                 row += [_fmt(x) for x in r.theta_sd]
+                row += [_fmt(r.ess_post_refresh)]
                 w.writerow(row)
 
     def snapshots_to_csv(self, path):
@@ -301,7 +307,10 @@ def _fmt(x: float) -> str:
 
 
 def load_trace_csv(path) -> LadderTrace:
-    """Rebuild a LadderTrace (without snapshots) from its CSV export."""
+    """Rebuild a LadderTrace (without snapshots) from its CSV export.
+
+    A CSV written before ``ess_post_refresh`` was exported loads it as nan.
+    """
     trace = LadderTrace()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -319,7 +328,7 @@ def load_trace_csv(path) -> LadderTrace:
                     log_z=float(row["log_z"]),
                     theta_mean=np.array([float(row[f"theta_mean_{i + 1}"]) for i in range(d)]),
                     theta_sd=np.array([float(row[f"theta_sd_{i + 1}"]) for i in range(d)]),
-                    ess_post_refresh=float(row["ess"]),
+                    ess_post_refresh=float(row.get("ess_post_refresh") or "nan"),
                 )
             )
     return trace

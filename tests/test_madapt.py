@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,33 @@ class TestGibbsRefresh:
         gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, UniformKernel)
         assert not np.any(system.dists[:, 0] == 2.0)
         assert np.mean(system.dists[:, 0] == 0.5) == pytest.approx(0.5, abs=0.02)
+
+    def test_row_without_kernel_mass_keeps_a_uniform_replicate(self, rng):
+        # every replicate outside eps: the particle has zero target density,
+        # so any replicate may be kept; it is picked uniformly, with no NaN
+        # retention weight, and rows with kernel mass are unaffected
+        n = 10_000
+        model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=2 * n, m=2, lam=1.0)
+        system.dists = np.concatenate([np.tile([2.0, 3.0], (n, 1)), np.tile([0.5, 2.0], (n, 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gibbs_refresh_system(system, 1, model, summary, dist_spec, len(obs), rng, UniformKernel)
+        empty = system.dists[:n, 0]
+        assert np.mean(empty == 2.0) == pytest.approx(0.5, abs=0.02)
+        assert np.mean(empty == 3.0) == pytest.approx(0.5, abs=0.02)
+        np.testing.assert_array_equal(system.dists[n:, 0], 0.5)
+
+    def test_row_at_infinite_distance_refreshes_without_warning(self, rng):
+        n = 1000
+        model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=n, m=2, lam=1.0)
+        system.dists[: n // 2] = math.inf
+        kept = system.dists.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gibbs_refresh_system(system, 3, model, summary, dist_spec, len(obs), rng, ExponentialKernel)
+        assert system.dists.shape == (n, 3)
+        assert np.all(system.dists[: n // 2, 0] == math.inf)
+        assert np.all(np.any(kept == system.dists[:, :1], axis=1))
 
     def test_shrinking_m(self, rng):
         model, summary, dist_spec, obs, system = _gaussian_setup(rng, n=50, m=6)

@@ -13,7 +13,7 @@ from abcsmc.models import (
     enumerated_posterior,
     three_component_truth,
 )
-from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec
+from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec, summarize_batch
 
 
 def small_discrete_model():
@@ -77,6 +77,11 @@ class TestMixtureModel:
     def test_prior_sample_shape(self, rng):
         assert MixtureModel().prior_sample(rng, 7).shape == (7, 4)
 
+    def test_reduced_keeps_full_data(self):
+        model = MixtureModel()
+        for kind in ("mean", "moments_and_tails"):
+            assert model.reduced(SummarySpec(kind=kind), 90) == (model, 90)
+
 
 class TestGaussianLocationModel:
     def test_simulate_and_prior(self, rng):
@@ -94,6 +99,36 @@ class TestGaussianLocationModel:
         out = model.simulate_batch(thetas, 90, 5, np.random.default_rng(8))
         z = np.random.default_rng(8).normal(size=(30, 5, 90))
         assert np.array_equal(out, thetas[:, 0, None, None] + 0.7 * z)
+
+
+    def test_reduced_mean_is_one_draw_at_the_mean_sd(self):
+        model = GaussianLocationModel(prior_var=4.0, noise_sd=0.7)
+        twin, n = model.reduced(SummarySpec(kind="mean"), 50)
+        assert n == 1 and isinstance(twin, GaussianLocationModel)
+        assert twin.prior_var == 4.0 and twin.noise_sd == 0.7 / math.sqrt(50)
+
+    @pytest.mark.parametrize(
+        "summary, n",
+        [
+            (SummarySpec(kind="mean", clamp=(-1.0, 1.0)), 50),
+            (SummarySpec(kind="identity"), 50),
+            (SummarySpec(kind="moments_and_tails"), 50),
+            (SummarySpec(kind="mean"), 1),
+        ],
+    )
+    def test_reduced_keeps_full_data_otherwise(self, summary, n):
+        model = GaussianLocationModel()
+        assert model.reduced(summary, n) == (model, n)
+
+    def test_reduced_mean_matches_the_sample_mean_law(self):
+        # S(X) of n draws at theta is N(theta, sd^2/n); the reduced twin's
+        # statistic must have that law (KS test on 200,000 draws)
+        theta, sd, n = 0.7, 1.3, 50
+        summary = SummarySpec(kind="mean")
+        twin, n_red = GaussianLocationModel(noise_sd=sd).reduced(summary, n)
+        sims = twin.simulate_batch(np.array([[theta]]), n_red, 200_000, np.random.default_rng(3))
+        stats = summarize_batch(summary, sims)[0, :, 0]
+        assert sps.kstest(stats, "norm", args=(theta, sd / math.sqrt(n))).pvalue > 1e-3
 
 
 class TestDiscreteToyModel:
@@ -146,6 +181,12 @@ class TestDiscreteToyModel:
         )
         np.testing.assert_allclose(post, model.prior_weights, atol=1e-12)
         assert log_z == pytest.approx(0.0, abs=1e-12)
+
+    def test_reduced_keeps_full_data(self):
+        model = small_discrete_model()
+        for kind in ("mean", "identity"):
+            assert model.reduced(SummarySpec(kind=kind), 2) == (model, 2)
+
 
 
 class TestTruthGenerator:

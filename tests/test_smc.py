@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from abcsmc import config as cfgmod
 from abcsmc.exceptions import (
     DegenerateSystemError,
     InvalidConfigError,
     InvalidInputError,
+    InvalidParameterError,
     LadderStallError,
 )
 from abcsmc.models import DiscreteToyModel, GaussianLocationModel
@@ -27,7 +29,7 @@ from abcsmc.smc import (
     simulate_distances,
     systematic_resample,
 )
-from abcsmc.statistics import DistanceSpec, SummarySpec
+from abcsmc.statistics import DistanceSpec, SummarySpec, distance_batch, summarize_batch
 
 from test_models import small_discrete_model
 
@@ -225,6 +227,37 @@ class TestSimulateDistances:
         assert d.shape == (13, 9)
         assert np.all(np.isfinite(d)) and np.all(d >= 0)
 
+    def test_unclamped_mean_draws_the_sample_mean_exactly(self):
+        # the Gaussian sample mean is drawn as theta + (sd / sqrt(n)) z, one
+        # standard normal per replicate
+        model = GaussianLocationModel(noise_sd=1.3)
+        theta = model.prior_sample(np.random.default_rng(1), 40)
+        ybar = np.array([0.4])
+        d = simulate_distances(
+            model, theta, 50, 6, np.random.default_rng(2), SummarySpec(kind="mean"),
+            DistanceSpec(kind="lp", p=1), ybar,
+        )
+        z = np.random.default_rng(2).normal(size=(40, 6, 1))
+        expected = np.abs(theta[:, 0, None, None] + (1.3 / np.sqrt(50)) * z - ybar)[..., 0]
+        assert np.array_equal(d, expected)
+
+    def test_clamped_mean_simulates_full_datasets(self):
+        model = GaussianLocationModel(noise_sd=1.3)
+        summary, dist = SummarySpec(kind="mean", clamp=(-0.5, 0.5)), DistanceSpec()
+        theta = model.prior_sample(np.random.default_rng(1), 40)
+        obs_stats = np.array([0.1])
+        d = simulate_distances(model, theta, 50, 6, np.random.default_rng(2), summary, dist, obs_stats)
+        sims = model.simulate_batch(theta, 50, 6, np.random.default_rng(2))
+        assert np.array_equal(d, distance_batch(dist, summarize_batch(summary, sims), obs_stats))
+
+    def test_non_finite_theta_raises(self):
+        theta = np.array([[0.0], [np.nan]])
+        with pytest.raises(InvalidParameterError):
+            simulate_distances(
+                GaussianLocationModel(), theta, 50, 2, np.random.default_rng(0),
+                SummarySpec(kind="mean"), DistanceSpec(), np.zeros(1),
+            )
+
 
 def _toy_problem():
     model = small_discrete_model()
@@ -360,6 +393,28 @@ class TestRunSMC:
             assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0)
             np.testing.assert_array_equal(w > 0, in_window)
 
+    def test_uniform_kernel_log_z_matches_window_probability(self):
+        # toy-quadrature on the eps ladder: Z_eps = P(|W - ybar| <= eps) for
+        # the simulated sample mean W ~ N(0, prior_var + sd^2/n), written with
+        # erf at s = sqrt(2 var(W))
+        cfg = cfgmod.preset("toy-quadrature")
+        eps = 0.05
+        errors = []
+        for seed in range(5):
+            obs = cfgmod.build_observations(cfg, seed)
+            smc_cfg = cfgmod.build_smc_config(cfg, seed=seed)
+            smc_cfg.n_particles, smc_cfg.kernel, smc_cfg.eps_target = 5000, "uniform", eps
+            smc_cfg.lambda_target = None
+            system, trace = run_smc(
+                smc_cfg, cfgmod.build_model(cfg), cfgmod.build_summary(cfg), cfgmod.build_distance(cfg), obs
+            )
+            assert trace.status == "ok" and system.lam == eps
+            s = math.sqrt(2.0 * (4.0 + 1.0 / len(obs)))
+            ybar = float(obs.mean())
+            exact = math.log(0.5 * (math.erf((ybar + eps) / s) - math.erf((ybar - eps) / s)))
+            errors.append(abs(system.log_z - exact))
+        assert np.mean(errors) < 0.05
+
     def test_m_schedule_forced(self):
         model, summary, dist, obs = _toy_problem()
         cfg = SMCConfig(
@@ -373,14 +428,27 @@ class TestRunSMC:
 class TestTraceAndSnapshots:
     def test_csv_round_trip(self, tmp_path):
         model, summary, dist, obs = _toy_problem()
-        cfg = SMCConfig(n_particles=200, lambda_target=3.0, seed=7)
-        _, trace = run_smc(cfg, model, summary, dist, obs)
+        # the second run changes M through the IS refresh, whose weights make
+        # ess_post_refresh differ from both ess and N
+        for extra in ({}, {"m_schedule": {2: 4}, "m_change": "is", "on_stall": "stop"}):
+            cfg = SMCConfig(n_particles=200, lambda_target=3.0, seed=7, **extra)
+            _, trace = run_smc(cfg, model, summary, dist, obs)
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            loaded = load_trace_csv(path)
+            np.testing.assert_allclose(loaded.lambdas, trace.lambdas, rtol=0)
+            np.testing.assert_allclose(loaded.log_zs, trace.log_zs, rtol=0)
+            assert [r.m for r in loaded.records] == [r.m for r in trace.records]
+            for field in ("ess", "ess_post_refresh", "accept_rate"):
+                got = [getattr(r, field) for r in loaded.records]
+                assert got == [getattr(r, field) for r in trace.records]
+        assert any(r.ess_post_refresh != r.ess for r in trace.records)
+
+    def test_csv_without_ess_post_refresh_loads_nan(self, tmp_path):
         path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        loaded = load_trace_csv(path)
-        np.testing.assert_allclose(loaded.lambdas, trace.lambdas, rtol=0)
-        np.testing.assert_allclose(loaded.log_zs, trace.log_zs, rtol=0)
-        assert [r.m for r in loaded.records] == [r.m for r in trace.records]
+        path.write_text("step,lambda,ess,accept_rate,M,log_z,theta_mean_1,theta_sd_1\n1,0.5,180,0.4,1,-0.1,0.2,0.9\n")
+        (rec,) = load_trace_csv(path).records
+        assert rec.ess == 180.0 and math.isnan(rec.ess_post_refresh)
 
     def test_snapshot_reweighting_exact(self):
         model, summary, dist, obs = _toy_problem()
