@@ -94,9 +94,9 @@ def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, r
         )
         lk_prop = kernel.log_sum(d_prop, system.lam)
         acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
-        system.theta[acc] = prop[acc]
-        system.dists[acc] = d_prop[acc]
-        log_prior[acc] = lp_prop[acc]
-        log_kern[acc] = lk_prop[acc]
+        np.copyto(system.theta, prop, where=acc[:, None])
+        np.copyto(system.dists, d_prop, where=acc[:, None])
+        np.copyto(log_prior, lp_prop, where=acc)
+        np.copyto(log_kern, lk_prop, where=acc)
         accepts += int(acc.sum())
     return accepts / (n * k_steps), n * k_steps * m

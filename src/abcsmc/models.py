@@ -214,18 +214,22 @@ class DiscreteToyModel(GenerativeModel):
         return out
 
     def simulate_batch(self, thetas, n, m, rng):
+        """One uniform per replicate, mapped through its atom's dataset CDF; shape (B, m, n).
+
+        Each atom present writes its rows' dataset indices into one (B, m)
+        array, and the datasets are gathered from the table once.
+        """
         if n != self.n:
             raise InvalidConfigError(f"model is defined for datasets of size {self.n}")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         atoms = self.atom_index_batch(thetas[:, 0])
         u = rng.random((thetas.shape[0], m))
-        out = np.empty((thetas.shape[0], m, n))
-        for a in np.unique(atoms):
-            rows = np.nonzero(atoms == a)[0]
-            ds = np.searchsorted(self._cum[a], u[rows], side="right")
-            ds = np.minimum(ds, self._datasets.shape[0] - 1)
-            out[rows] = self._datasets[ds]
-        return out
+        ds = np.empty(u.shape, dtype=np.intp)
+        for a in np.flatnonzero(np.bincount(atoms)):
+            rows = np.flatnonzero(atoms == a)
+            ds[rows] = np.searchsorted(self._cum[a], u[rows], side="right")
+        np.minimum(ds, self._datasets.shape[0] - 1, out=ds)
+        return self._datasets.take(ds, axis=0)
 
 
 @dataclass(frozen=True)

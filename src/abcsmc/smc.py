@@ -205,8 +205,10 @@ def find_next_lambda(
     base = _rung_log_sums(kernel, system.dists, system.lam, system.log_weights)
 
     def ess_at(param: float) -> float:
-        lw = system.log_weights + kernel.log_sum(system.dists, param) - base
-        return ess(lw) if np.any(np.isfinite(lw)) else 0.0
+        try:
+            return ess(system.log_weights + kernel.log_sum(system.dists, param) - base)
+        except DegenerateSystemError:
+            return 0.0
 
     current = system.ess()
     if current < target - tol * n:

@@ -3,10 +3,12 @@
 A summary statistic maps a dataset of n reals to a fixed-length vector of
 empirical means of per-observation feature maps.  Distances compare two such
 vectors; all shipped distances derive from norms, so they are jointly convex
-in both arguments.  A kernel gives the log kernel value of each replicate
-distance (``log_k``) and a particle's log kernel sum over its M replicates
-(``log_sum``), the quantity every weight, acceptance ratio and refresh
-correction of the sampler is built from.
+in both arguments.  A kernel defines one thing, the log kernel value of each
+replicate distance (``log_k``).  A particle's log kernel sum over its M
+replicates (``log_sum``), the quantity every weight, acceptance ratio and
+refresh correction of the sampler is built from, is derived from it as
+``logsumexp(log_k(d, param), axis=-1)``; for the uniform kernel that is the
+log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
 """
 
 from __future__ import annotations
@@ -219,17 +221,38 @@ def distance_batch(spec: DistanceSpec, stats: np.ndarray, observed: np.ndarray) 
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """Stable log-sum-exp; rows of all -inf map to -inf without warnings."""
+    """Stable log-sum-exp; rows of all -inf map to -inf without warnings.
+
+    Over a length-1 axis the result is the entry itself plus 0.0 (so -0.0
+    becomes +0.0), which is what the general formula gives for every input,
+    infinities and NaN included, without its passes.
+    """
     a = np.asarray(a, dtype=float)
+    if axis is not None and a.shape[axis] == 1:
+        return np.squeeze(a, axis=axis) + 0.0
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    t = a - m
+    np.exp(t, out=t)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+        out = np.log(np.sum(t, axis=axis)) + np.squeeze(m, axis=axis)
     return out if axis is not None else float(out)
 
 
-class ExponentialKernel:
-    """log sum_i exp(-lambda * d_i); the lambda ladder starts at 0 and increases."""
+class _Kernel:
+    """A kernel is its ``log_k``; ``log_sum`` is the log of its sum over a particle's replicates."""
+
+    @classmethod
+    def log_sum(cls, dists: np.ndarray, param: float) -> np.ndarray:
+        return logsumexp(cls.log_k(dists, param), axis=-1)
+
+
+class ExponentialKernel(_Kernel):
+    """log sum_i exp(-lambda * d_i); the lambda ladder starts at 0 and increases.
+
+    At lambda = 0 every replicate has kernel value e^0 = 1, an infinite
+    distance included (where -0 * inf would be NaN).
+    """
 
     name = "exponential"
     start_param = 0.0
@@ -237,14 +260,12 @@ class ExponentialKernel:
 
     @staticmethod
     def log_k(dists: np.ndarray, lam: float) -> np.ndarray:
+        if lam == 0.0:
+            return np.zeros(np.shape(dists))
         return -lam * dists
 
-    @staticmethod
-    def log_sum(dists: np.ndarray, lam: float) -> np.ndarray:
-        return logsumexp(-lam * dists, axis=-1)
 
-
-class UniformKernel:
+class UniformKernel(_Kernel):
     """log #{i : d_i <= eps}; the eps ladder starts at +inf and decreases.
 
     The accept/reject baseline: weight increments are 0 or -inf, and the
@@ -258,11 +279,6 @@ class UniformKernel:
     @staticmethod
     def log_k(dists: np.ndarray, eps: float) -> np.ndarray:
         return np.where(dists <= eps, 0.0, -math.inf)
-
-    @staticmethod
-    def log_sum(dists: np.ndarray, eps: float) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.sum(dists <= eps, axis=-1).astype(float))
 
 
 KERNELS = {k.name: k for k in (ExponentialKernel, UniformKernel)}

@@ -187,6 +187,27 @@ class TestDiscreteToyModel:
         for kind in ("mean", "identity"):
             assert model.reduced(SummarySpec(kind=kind), 2) == (model, 2)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_simulator_is_the_per_row_inverse_cdf(self, m):
+        # unsorted atoms, two of which no row uses
+        model = DiscreteToyModel.from_obs_probs(
+            theta_values=[2.0, 0.0, 3.0, 1.0],
+            prior_weights=[0.25] * 4,
+            obs_values=[0.0, 1.0, 2.0],
+            obs_probs=[[0.5, 0.3, 0.2], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.2, 0.2]],
+            n=2,
+        )
+        thetas = np.random.default_rng(5).choice([3.0, 2.0], size=(200, 1))
+        got = model.simulate_batch(thetas, 2, m, np.random.default_rng(11))
+        u = np.random.default_rng(11).random((len(thetas), m))
+        datasets = model.enumerate_datasets()
+        want = np.empty((len(thetas), m, 2))
+        for i, theta in enumerate(thetas[:, 0]):
+            cum = np.cumsum(model.likelihood[list(model.theta_values).index(theta)])
+            for j in range(m):
+                want[i, j] = datasets[min(int(np.sum(cum <= u[i, j])), len(cum) - 1)]
+        assert np.array_equal(got, want)
+
 
 
 class TestTruthGenerator:

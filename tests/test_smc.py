@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcsmc import config as cfgmod
 from abcsmc.exceptions import (
@@ -32,6 +34,7 @@ from abcsmc.smc import (
 from abcsmc.statistics import DistanceSpec, SummarySpec, distance_batch, summarize_batch
 
 from test_models import small_discrete_model
+from test_statistics import REALS, assert_same_bits, reference_logsumexp
 
 
 def make_system(dists, lam=0.0, log_weights=None):
@@ -78,6 +81,18 @@ class TestLogsumexpEss:
         with pytest.raises(DegenerateSystemError):
             ess(np.full(4, -np.inf))
 
+    @given(st.lists(REALS, min_size=1, max_size=40).map(np.array))
+    @settings(max_examples=400, deadline=None)
+    def test_ess_bits_equal_the_two_logsumexp_formula(self, lw):
+        if not np.any(np.isfinite(lw)):
+            with pytest.raises(DegenerateSystemError):
+                ess(lw)
+            return
+        # an infinite or NaN weight makes both sides inf - inf (NaN) and may overflow exp
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.exp(2.0 * reference_logsumexp(lw, axis=0) - reference_logsumexp(2.0 * lw, axis=0))
+            assert_same_bits(ess(lw), want)
+
 
 def weight_increment(dists, lam_new, lam_old):
     """The log weight increment of one particle (a row of replicate distances) under ``reweight``."""
@@ -95,6 +110,18 @@ class TestIncrementalWeights:
         lam_new, lam_old = 2.5, 1.0
         naive = math.log(np.exp(-lam_new * d).sum()) - math.log(np.exp(-lam_old * d).sum())
         assert weight_increment(d, lam_new, lam_old) == pytest.approx(naive, rel=1e-12)
+
+
+class TestInfiniteDistanceAtLambdaZero:
+    def test_first_rung_weights_and_log_z_stay_finite(self):
+        # an overflowed distance has kernel value 1 at lambda = 0 and 0 beyond it
+        dists = np.array([[math.inf], [1.0], [2.0]])
+        lw, log_z = reweight(np.full(3, -math.log(3)), 0.0, dists, ExponentialKernel, 0.0, 1.0)
+        assert lw[0] == -math.inf
+        assert_same_bits(lw[1:], -math.log(3) - np.array([1.0, 2.0]))
+        assert math.isfinite(log_z)
+        lam = find_next_lambda(make_system(dists), 0.5, 10.0, kernel=ExponentialKernel)
+        assert 0.0 < lam < 10.0
 
 
 class TestSystematicResample:

@@ -9,9 +9,12 @@ from abcsmc.exceptions import InvalidConfigError, InvalidInputError
 from abcsmc.statistics import (
     BLOCK_ELEMENTS,
     DistanceSpec,
+    ExponentialKernel,
     SummarySpec,
+    UniformKernel,
     distance,
     distance_batch,
+    logsumexp,
     rows_per_block,
     summarize,
     summarize_batch,
@@ -203,3 +206,90 @@ class TestDistance:
         assert distance(spec, x, x) == 0.0
         assert dxy == pytest.approx(distance(spec, y, x))
         assert distance(spec, x, z) <= dxy + distance(spec, y, z) + 1e-7 * (1 + dxy)
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def reference_logsumexp(a, axis=None):
+    """The one-formula log-sum-exp: max shift, exp, sum and log on every axis length."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+    return out if axis is not None else float(out)
+
+
+# every IEEE special the sampler's arrays can hold, and finite values whose doubles do not overflow
+SPECIAL = st.sampled_from([-math.inf, math.inf, math.nan, -0.0, 0.0])
+REALS = st.one_of(st.floats(-1e300, 1e300), SPECIAL)
+
+
+def float_matrix(columns, elements=REALS):
+    return st.lists(
+        st.lists(elements, min_size=columns, max_size=columns), min_size=1, max_size=6
+    ).map(lambda rows: np.array(rows, dtype=float))
+
+
+class TestLogsumexpBits:
+    # next to +inf or NaN the shift is 0, so exp of a large finite entry overflows on both sides
+    @given(st.one_of(float_matrix(1), float_matrix(5)))
+    @settings(max_examples=300, deadline=None)
+    def test_last_axis(self, a):
+        with np.errstate(over="ignore"):
+            assert_same_bits(logsumexp(a, axis=-1), reference_logsumexp(a, axis=-1))
+
+    @given(st.lists(REALS, min_size=1, max_size=8).map(np.array))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_array(self, a):
+        with np.errstate(over="ignore"):
+            assert_same_bits(logsumexp(a), reference_logsumexp(a))
+
+    def test_length_one_axis_returns_a_new_array(self):
+        a = np.array([[-0.0], [2.5]])
+        out = logsumexp(a, axis=-1)
+        out[0] = 7.0
+        assert a[0, 0] == 0.0 and np.signbit(a[0, 0])
+        assert_same_bits(logsumexp(a, axis=-1), [0.0, 2.5])
+
+
+# distances are nonnegative; ties with the window edge and overflowed or NaN distances included
+DISTS = st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 0.25, 1.0, math.inf, math.nan]))
+
+
+class TestKernelLogSumBits:
+    """``log_sum`` against the closed forms each kernel had before it was derived from ``log_k``."""
+
+    @given(
+        st.sampled_from([1, 4]).flatmap(lambda m: float_matrix(m, DISTS)),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exponential(self, d, lam):
+        if lam == 0.0:
+            d = np.where(np.isfinite(d), d, 1.0)  # -0 * inf was NaN here, see test_exponential_at_zero
+        assert_same_bits(ExponentialKernel.log_sum(d, lam), reference_logsumexp(-lam * d, axis=-1))
+
+    @given(
+        st.sampled_from([1, 4]).flatmap(lambda m: float_matrix(m, DISTS)),
+        st.one_of(st.sampled_from([0.0, 0.25, 1.0, math.inf]), st.floats(0.0, 1e6)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_is_the_log_count(self, d, eps):
+        with np.errstate(divide="ignore"):
+            count = np.log(np.sum(d <= eps, axis=-1).astype(float))
+        assert_same_bits(UniformKernel.log_sum(d, eps), count)
+
+    def test_exponential_at_zero_counts_every_replicate(self):
+        # K = e^0 = 1 for every distance at lambda = 0, an infinite one included
+        d = np.array([[math.inf, 1.0], [math.inf, math.inf], [math.inf, 0.0]])
+        assert_same_bits(ExponentialKernel.log_k(d, 0.0), np.zeros(d.shape))
+        assert_same_bits(ExponentialKernel.log_sum(d, 0.0), np.full(3, math.log(2.0)))
+        assert_same_bits(ExponentialKernel.log_sum(d[:, :1], 0.0), np.zeros(3))
