@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
-from .statistics import distance_batch, row_blocks, summarize, summarize_batch
+from .statistics import beside, distance_batch, row_blocks, summarize, summarize_batch, wait
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,6 +86,9 @@ class MixtureModel(GenerativeModel):
         the generator is consumed exactly as by one-shot draws of the full
         shape and the block size never changes a value.  Each observation is
         mu + s*z with (mu, s) of the label's component, applied in place.
+        That affine map draws no random numbers: the map of each block but
+        the last may run on the helper thread (``statistics.helper``) while
+        this thread draws the next block, with the same bits either way.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
@@ -94,13 +97,25 @@ class MixtureModel(GenerativeModel):
         mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
         out = np.empty((thetas.shape[0], m, n))
         pick1 = np.empty(out.shape, dtype=bool)
+
+        def affine(b0, b1):
+            z, pick = out[b0:b1], pick1[b0:b1]
+            z *= np.where(pick, s1[b0:b1], s2[b0:b1])
+            z += np.where(pick, mu1[b0:b1], mu2[b0:b1])
+
         blocks = list(row_blocks(thetas.shape[0], m * n))
         for b0, b1 in blocks:
             np.less(rng.random(out=out[b0:b1]), self.p, out=pick1[b0:b1])
-        for b0, b1 in blocks:
-            z, pick = rng.standard_normal(out=out[b0:b1]), pick1[b0:b1]
-            z *= np.where(pick, s1[b0:b1], s2[b0:b1])
-            z += np.where(pick, mu1[b0:b1], mu2[b0:b1])
+        pending = []
+        try:
+            for i, (b0, b1) in enumerate(blocks):
+                rng.standard_normal(out=out[b0:b1])
+                if i + 1 < len(blocks):
+                    pending.append(beside(affine, b0, b1))
+                else:
+                    affine(b0, b1)
+        finally:
+            wait(pending)
         return out
 
 

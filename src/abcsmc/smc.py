@@ -55,7 +55,9 @@ def simulate_distances(
     gives the same statistic law at a size of at most n_obs (the Gaussian
     sample mean is drawn as one observation).  Replicates are simulated in
     chunks so the raw (N, chunk, n) array stays bounded in memory regardless
-    of how large M grows.
+    of how large M grows.  A NaN distance (a simulator whose output
+    overflowed, say) becomes +inf: kernel value 0 at every rung past the
+    first, rather than a NaN weight and log Z.
     """
     model, n_obs = model.reduced(summary, n_obs)
     n_particles = theta.shape[0]
@@ -65,6 +67,7 @@ def simulate_distances(
         j1 = min(m, j0 + chunk)
         sims = model.simulate_batch(theta, n_obs, j1 - j0, rng)
         out[:, j0:j1] = distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
+    out[np.isnan(out)] = math.inf
     return out
 
 
@@ -219,7 +222,10 @@ def find_next_lambda(
         return cap
     near, far = system.lam, cap
     if not math.isfinite(near):
-        near = float(system.dists.max())
+        # the eps ladder starts at +inf; its first bracket starts at the largest finite distance
+        near = float(np.max(system.dists, where=np.isfinite(system.dists), initial=-math.inf))
+        if near == -math.inf:
+            raise LadderStallError("no finite replicate distance to start the eps ladder from")
     if predict is not None and predict > near:
         far = min(cap, 4.0 * predict)
         while ess_at(far) > target and far < cap:

@@ -9,11 +9,18 @@ replicates (``log_sum``), the quantity every weight, acceptance ratio and
 refresh correction of the sampler is built from, is derived from it as
 ``logsumexp(log_k(d, param), axis=-1)``; for the uniform kernel that is the
 log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
+
+The moment and indicator summaries, and the mixture simulator's affine map,
+can run part of their work on one helper thread (``beside``) while the
+calling thread works on the rest; see ``helper``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,68 @@ from .exceptions import InvalidConfigError, InvalidInputError
 SUMMARY_KINDS = ("moments_and_tails", "indicator_grid", "identity", "mean")
 DISTANCE_KINDS = ("lp", "sup", "scaled_empirical_l2")
 BLOCK_ELEMENTS = 1 << 16  # elements per row block of the simulate and summarise loops (512 KiB of float64)
+
+_use_helper: bool | None = None  # None until the first call of ``helper`` decides from the CPU count
+_helper_pool = None
+_helper_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _forget_helper():
+    global _helper_pool, _helper_lock
+    _helper_pool, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)  # the parent's thread does not exist in a child
+
+
+def helper():
+    """The process's one helper thread, a single-worker pool; None when there is no second CPU.
+
+    It is used only when this process may run on at least 2 CPUs, and it is
+    started on first use (``concurrent.futures`` is imported then, not with
+    the package).  A forked child starts its own.  Work given to it uses no
+    random numbers, so every result is the same bits with or without it.
+    """
+    global _use_helper, _helper_pool
+    if _use_helper is None:
+        _use_helper = _cpus() >= 2
+    if not _use_helper:
+        return None
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="abcsmc-helper")
+        return _helper_pool
+
+
+def beside(fn, *args):
+    """Start ``fn(*args)`` on the helper thread and return its future; without a helper, run it now and return None.
+
+    The task runs in a copy of the caller's ``contextvars`` context, so the
+    caller's ``np.errstate`` applies to it.
+    """
+    pool = helper()
+    if pool is None:
+        fn(*args)
+        return None
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def wait(futures):
+    """Wait until every task of ``futures`` (from ``beside``) has ended, then re-raise the first task error."""
+    errors = [fut.exception() for fut in futures if fut is not None]
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 @dataclass(frozen=True)
@@ -148,10 +217,28 @@ def _feature_means(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
     reused for every block, so no full-size temporary is built and the
     caller's array is never written.  Each feature is the ``.mean`` of the
     same values as the one-shot formula, so the result is the same bits.
+    When the rows fill more than one block, the helper thread takes the
+    first half of them and the calling thread the rest, each with its own
+    buffers; a row's features do not depend on the rows beside it.
     """
     n = data.shape[-1]
     rows = data.reshape(-1, n)
     feats = np.empty((rows.shape[0], spec.dim()))
+    mid = rows.shape[0] // 2 if rows.shape[0] > rows_per_block(n) and helper() is not None else 0
+    pending = [beside(_fill_features, spec, rows[:mid], feats[:mid])] if mid else []
+    try:
+        _fill_features(spec, rows[mid:], feats[mid:])
+    finally:
+        wait(pending)
+    if spec.normalize:
+        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
+        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
+    return feats.reshape(data.shape[:-1] + (feats.shape[1],))
+
+
+def _fill_features(spec: SummarySpec, rows: np.ndarray, feats: np.ndarray):
+    """Write the feature means of each row of ``rows`` into that row of ``feats``, one row block at a time."""
+    n = rows.shape[1]
     buf_rows = min(rows.shape[0], rows_per_block(n))
     x_buf, x2_buf, xk_buf = np.empty((3, buf_rows, n))
     flag_buf = np.empty((buf_rows, n), dtype=bool)
@@ -171,10 +258,6 @@ def _feature_means(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
             out[:, 3] = np.multiply(x2, x2, out=xk_buf[:k]).mean(axis=-1)
             out[:, 4] = np.less(x, -1.0, out=flag).mean(axis=-1)
             out[:, 5] = np.greater(x, 2.0, out=flag).mean(axis=-1)
-    if spec.normalize:
-        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
-        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
-    return feats.reshape(data.shape[:-1] + (feats.shape[1],))
 
 
 @dataclass(frozen=True)

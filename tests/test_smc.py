@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from abcsmc.exceptions import (
     InvalidParameterError,
     LadderStallError,
 )
-from abcsmc.models import DiscreteToyModel, GaussianLocationModel
+from abcsmc.models import DiscreteToyModel, GaussianLocationModel, MixtureModel
 from abcsmc.smc import (
     ExponentialKernel,
     LadderTrace,
@@ -122,6 +123,38 @@ class TestInfiniteDistanceAtLambdaZero:
         assert math.isfinite(log_z)
         lam = find_next_lambda(make_system(dists), 0.5, 10.0, kernel=ExponentialKernel)
         assert 0.0 < lam < 10.0
+
+
+class TestNonFiniteDistances:
+    def test_overflowing_particle_has_infinite_distances_and_zero_weight(self):
+        # sigma_1 = e^800 overflows; the unclamped moments of its replicates are NaN
+        model = MixtureModel(logsigma_prior_sd=60.0)
+        theta = model.prior_sample(np.random.default_rng(3), 10) / [1.0, 60.0, 1.0, 60.0]
+        theta[0, 1] = 800.0
+        summary = SummarySpec(kind="moments_and_tails")
+        obs_stats = summarize_batch(summary, np.linspace(-1.0, 4.0, 90))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = simulate_distances(
+                model, theta, 90, 4, np.random.default_rng(0), summary, DistanceSpec(), obs_stats
+            )
+        assert np.all(dists[0] == math.inf)
+        assert np.all(np.isfinite(dists[1:]))
+        lam = find_next_lambda(make_system(dists), 0.5, 1e3, kernel=ExponentialKernel)
+        assert 0.0 < lam < 1e3
+        lw, log_z = reweight(np.full(10, -math.log(10)), 0.0, dists, ExponentialKernel, 0.0, lam)
+        assert lw[0] == -math.inf and np.all(np.isfinite(lw[1:]))
+        assert math.isfinite(log_z)
+
+    def test_eps_ladder_starts_at_the_largest_finite_distance(self):
+        # one +inf replicate must not pin the first eps at +inf
+        dists = np.array([[math.inf]] + [[float(k)] for k in range(1, 10)])
+        eps = find_next_lambda(make_system(dists, lam=math.inf), 0.5, 0.0, kernel=UniformKernel)
+        assert 5.0 <= eps < 6.0  # five equally weighted particles inside: ESS 5 = tau * N
+
+    def test_eps_ladder_without_finite_distances_stalls(self):
+        system = make_system(np.full((4, 2), math.inf), lam=math.inf)
+        with pytest.raises(LadderStallError):
+            find_next_lambda(system, 0.5, 0.0, kernel=UniformKernel)
 
 
 class TestSystematicResample:
@@ -508,3 +541,51 @@ class TestTraceAndSnapshots:
     def test_posterior_at_lambda_requires_snapshots(self):
         with pytest.raises(InvalidConfigError):
             posterior_at_lambda(LadderTrace(), 1.0)
+
+
+class TestSamplerInvariants:
+    """After every step of a run: log weights finite where alive, without NaN, and
+    normalised; log Z never rises; and each non-final exponential rung meets the ESS
+    target within the bisection tolerance."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        preset=st.sampled_from(["toy-discrete", "toy-quadrature"]),
+        kernel=st.sampled_from(["exponential", "uniform"]),
+        refresh=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_invariants_hold_after_every_step(self, preset, kernel, refresh, seed):
+        cfg = cfgmod.preset(preset)
+        smc_cfg = dataclasses.replace(
+            cfgmod.build_smc_config(cfg, seed),
+            n_particles=200,
+            lambda_target=4.0 if kernel == "exponential" else None,
+            kernel=kernel,
+            eps_target=1.0 if preset == "toy-discrete" else 0.05,
+            max_steps=40,  # the eps ladder can freeze on the discrete toy's tied distances
+            m_schedule={1: 2, 3: 4} if refresh else None,
+            m_change="gibbs",
+        ).validate()
+        records = []
+
+        def check(record, system):
+            lw = system.log_weights
+            assert not np.any(np.isnan(lw))
+            assert abs(logsumexp(lw, axis=0)) <= 1e-9
+            records.append(record)
+
+        run_smc(
+            smc_cfg,
+            cfgmod.build_model(cfg),
+            cfgmod.build_summary(cfg),
+            cfgmod.build_distance(cfg),
+            cfgmod.build_observations(cfg, seed),
+            hooks=[check],
+        )
+        assert records
+        log_z = [0.0] + [r.log_z for r in records]
+        assert np.all(np.diff(log_z) <= 0.0)
+        if kernel == "exponential":
+            for r in records[:-1]:
+                assert abs(r.ess - smc_cfg.tau * 200) <= smc_cfg.bisect_tol * 200

@@ -2,14 +2,16 @@
 
     python3 tools/compare_traces.py BASE CHANGE
 
-BASE and CHANGE are checkouts of this repository.  Each run of ``RUNS`` is an
-``abcsmc run`` of a preset with overrides at seed 7, made once per checkout in
-a child process that imports the package from that checkout's ``src``.  A run
-counts as identical only if both sides exit 0, both write ``trace.csv``, and
-both write the same files with the same bytes, except ``summary.json``'s
-``wall_time_s``.  One line is printed per run; the exit code is 1 if any run
-is not identical, else 0.  The run directories are kept, and their path
-printed, only when some run is not identical.
+BASE and CHANGE are checkouts of this repository.  Each run is an ``abcsmc
+run`` at seed 7: the presets with overrides of ``PRESET_RUNS``, then the
+benchmark's workload configs, read from ``perfbench/workloads.py`` next to
+this tool.  Each is made once per checkout in a child process that imports
+the package from that checkout's ``src``.  A run counts as identical only if
+both sides exit 0, both write ``trace.csv``, and both write the same files
+with the same bytes, except ``summary.json``'s ``wall_time_s``.  One line
+is printed per run; the exit code is 1 if any run is not identical, else 0.
+The run directories are kept, and their path printed, only when some run is
+not identical.
 
 A change that claims to keep the sampler's arithmetic bit for bit should
 pass this against its parent commit; a change that alters the random stream
@@ -18,6 +20,7 @@ or the ladder on purpose shows here which runs it moved.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -28,9 +31,10 @@ import time
 from pathlib import Path
 
 SEED = 7
+ROOT = Path(__file__).resolve().parents[1]
 
 # (name, preset, overrides): every ladder, kernel and M refresh the presets reach
-RUNS = [
+PRESET_RUNS = [
     ("toy-discrete", "toy-discrete", []),
     ("toy-quadrature", "toy-quadrature", []),
     (
@@ -46,11 +50,33 @@ RUNS = [
 ]
 
 
-def run_once(checkout: Path, preset: str, overrides: list[str], out: Path) -> tuple[int, float]:
+def benchmark_workloads() -> dict:
+    """The benchmark's workloads by name, from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def runs(work: Path) -> list[tuple[str, list[str]]]:
+    """Every run as (name, ``abcsmc run`` arguments); workload configs are written to ``work``."""
+    out = []
+    for name, preset, overrides in PRESET_RUNS:
+        args = ["--preset", preset]
+        for item in overrides:
+            args += ["--override", item]
+        out.append((name, args))
+    for name, workload in benchmark_workloads().items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(workload.config))
+        out.append((name, ["--config", str(path)]))
+    return out
+
+
+def run_once(checkout: Path, args: list[str], out: Path) -> tuple[int, float]:
     """One ``abcsmc run`` against the package in ``checkout``; returns (exit code, seconds)."""
-    cmd = [sys.executable, "-m", "abcsmc.cli", "run", "--preset", preset, "--seed", str(SEED), "--out", str(out)]
-    for item in overrides:
-        cmd += ["--override", item]
+    cmd = [sys.executable, "-m", "abcsmc.cli", "run", *args, "--seed", str(SEED), "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True)
@@ -103,20 +129,21 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no src/abcsmc package in {tree}")
 
     work = Path(tempfile.mkdtemp(prefix="compare_traces_"))
+    all_runs = runs(work)
     failed = 0
-    for name, preset, overrides in RUNS:
+    for name, args in all_runs:
         codes, secs = {}, {}
         for side, checkout in checkouts.items():
             out = work / side / name
             out.mkdir(parents=True)
-            codes[side], secs[side] = run_once(checkout, preset, overrides, out)
+            codes[side], secs[side] = run_once(checkout, args, out)
         result = verdict(codes, work / "base" / name, work / "change" / name)
         failed += result != "same"
         print(
             f"{result:<24} {name:<24} base {secs['base']:.1f} s  change {secs['change']:.1f} s",
             flush=True,
         )
-    print(f"{len(RUNS) - failed}/{len(RUNS)} runs identical at seed {SEED}")
+    print(f"{len(all_runs) - failed}/{len(all_runs)} runs identical at seed {SEED}")
     if failed:
         print(f"run directories kept in {work}")
         return 1
