@@ -296,10 +296,16 @@ def _run_variant(cfg: dict, seed: int, out_dir: Path, tag: str, **smc_overrides)
     return model, summary, dist_spec, observations, system, trace
 
 
-def _uniform_arm(cfg: dict, seed: int, out_dir: Path, tag: str, budget: int):
+_SPEND_HEADER = ["seed", "arm", "status", "steps", "sim_calls", "sim_budget"]
+
+
+def _uniform_arm(cfg: dict, seed: int, out_dir: Path, tag: str, budget: int, spend_rows: list):
     """Final particle system of the accept/reject baseline, run on the simulator
-    budget of the run it is compared with; writes its trace under out_dir."""
-    _, _, _, _, system, _ = _run_variant(
+    budget of the run it is compared with; writes its trace under out_dir.
+    A stalled eps ladder ends the arm where it stands: the arm's row in
+    spend_rows records how it stopped and what it spent, and a warning goes
+    to stderr when it stopped short of the budget."""
+    _, _, _, _, system, trace = _run_variant(
         cfg,
         seed,
         out_dir,
@@ -310,8 +316,21 @@ def _uniform_arm(cfg: dict, seed: int, out_dir: Path, tag: str, budget: int):
         sim_budget=budget,
         adapt_m=False,
         store_snapshots=False,
+        on_stall="stop",
     )
+    spend_rows.append(_spend_row(seed, tag, system, trace, budget))
+    if trace.status != "budget_exhausted":
+        print(
+            f"warning: uniform arm {tag} (seed {seed}) stopped with {trace.status} after "
+            f"{system.sim_calls} of {budget} simulator calls",
+            file=sys.stderr,
+        )
     return system
+
+
+def _spend_row(seed: int, tag: str, system, trace, budget: int | None = None) -> list:
+    """One row of spend.csv: how an experiment arm stopped and what it spent."""
+    return [seed, tag, trace.status, len(trace), system.sim_calls, "" if budget is None else budget]
 
 
 def _posterior_predictive_stats(model, summary, theta, weights, n_obs, seed):
@@ -352,15 +371,16 @@ def _experiment_toy(cfg, seeds, out, name):
 def _experiment1(cfg, seeds, out, name):
     """Kernel comparison at equal budget (posterior-mean errors vs a 10x-particle
     reference) and acceptance-vs-lambda curves for adaptive-M vs fixed M=1."""
-    err_rows, acc_rows = [], []
+    err_rows, acc_rows, spend_rows = [], [], []
     n_ref = 10 * cfg["smc"]["n_particles"]
     for seed in seeds:
         sd = _seed_dir(out, seed)
         _, _, _, _, sys_exp, tr_exp = _run_variant(cfg, seed, sd, "exponential")
         budget = sys_exp.sim_calls
+        spend_rows.append(_spend_row(seed, "exponential", sys_exp, tr_exp))
         _, _, _, _, sys_ref, _ = _run_variant(cfg, seed, sd, "reference", n_particles=n_ref)
         ref_mean = sys_ref.weighted_mean()
-        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget)
+        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget, spend_rows)
         for tag, system in (("exponential", sys_exp), ("uniform", sys_uni)):
             err = np.abs(system.weighted_mean() - ref_mean)
             for j, e in enumerate(err):
@@ -370,6 +390,7 @@ def _experiment1(cfg, seeds, out, name):
             for rec in trace.records:
                 acc_rows.append([seed, policy, rec.step, _g(rec.lam), _g(rec.accept_rate), rec.m])
     _write_csv(out / "errors.csv", ["seed", "estimator", "param", "abs_error"], err_rows)
+    _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
     _write_csv(
         out / "acceptance.csv", ["seed", "policy", "step", "lambda", "accept_rate", "M"], acc_rows
     )
@@ -381,7 +402,7 @@ def _experiment2(cfg, seeds, out, name):
     summary = cfgmod.build_summary(cfg)
     s_true = _truth_stats(cfg, summary)
     lam_fixed = cfg["smc"]["lambda_target"]
-    mse_rows = []
+    mse_rows, spend_rows = [], []
     for n in n_grid:
         for seed in seeds:
             sd = _seed_dir(out, seed)
@@ -393,6 +414,7 @@ def _experiment2(cfg, seeds, out, name):
                 ncfg, seed, sd, f"fixed_n{n}", store_snapshots=True
             )
             budget = system.sim_calls
+            spend_rows.append(_spend_row(seed, f"fixed_n{n}", system, trace))
             estimators = {}
             s_fixed, _ = _posterior_predictive_stats(
                 model, summ, system.theta, system.weights(), len(obs), seed
@@ -403,7 +425,7 @@ def _experiment2(cfg, seeds, out, name):
             th_a, w_a = posterior_at_lambda(trace, lam_hat)
             s_adapt, _ = _posterior_predictive_stats(model, summ, th_a, w_a, len(obs), seed)
             estimators["adaptive_lambda"] = s_adapt
-            sys_uni = _uniform_arm(ncfg, seed, sd, f"uniform_n{n}", budget)
+            sys_uni = _uniform_arm(ncfg, seed, sd, f"uniform_n{n}", budget, spend_rows)
             s_uni, _ = _posterior_predictive_stats(
                 model, summ, sys_uni.theta, sys_uni.weights(), len(obs), seed
             )
@@ -412,6 +434,7 @@ def _experiment2(cfg, seeds, out, name):
                 mse = float(np.mean((s_hat - s_true) ** 2))
                 mse_rows.append([int(n), seed, tag, _g(mse), _g(lam_hat if tag == "adaptive_lambda" else lam_fixed)])
     _write_csv(out / "mse.csv", ["n", "seed", "estimator", "mse", "lambda"], mse_rows)
+    _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
 
     agg = []
     for n in n_grid:
@@ -437,12 +460,13 @@ def _experiment3(cfg, seeds, out, name):
     thresholds = summary.thresholds
     s_true = _truth_stats(cfg, summary)
     bins = np.linspace(-5.0, 5.0, 102)
-    err_rows, dens_rows = [], []
+    err_rows, dens_rows, spend_rows = [], [], []
     for seed in seeds:
         sd = _seed_dir(out, seed)
-        model, summ, dist_spec, obs, sys_abc, _ = _run_variant(cfg, seed, sd, "abc")
+        model, summ, dist_spec, obs, sys_abc, tr_abc = _run_variant(cfg, seed, sd, "abc")
         budget = sys_abc.sim_calls
-        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget)
+        spend_rows.append(_spend_row(seed, "abc", sys_abc, tr_abc))
+        sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget, spend_rows)
         for tag, system in (("abc", sys_abc), ("uniform", sys_uni)):
             s_hat, draws = _posterior_predictive_stats(
                 model, summ, system.theta, system.weights(), len(obs), seed
@@ -457,6 +481,7 @@ def _experiment3(cfg, seeds, out, name):
             for k in range(101):
                 dens_rows.append([seed, tag, _g(bins[k]), _g(bins[k + 1]), _g(density[k])])
     _write_csv(out / "stat_errors.csv", ["seed", "method", "threshold", "abs_error"], err_rows)
+    _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
     _write_csv(
         out / "density.csv", ["seed", "method", "bin_left", "bin_right", "density"], dens_rows
     )

@@ -3,10 +3,12 @@
 The sampler tracks a weighted population of (theta, replicate distances)
 along a ladder: inverse temperatures lambda rising from 0 for the exponential
 kernel, or tolerances eps falling from +inf for the uniform (accept/reject)
-kernel.  One ESS-targeted bisection, ``find_next_lambda``, picks the next
-rung of either ladder from the kernel's start and direction.  Every step
-reweights (``reweight``, which also tracks log Z), resamples systematically,
-rejuvenates by MCMC and adapts the replicate count M.
+kernel.  One ESS-targeted search, ``find_next_lambda``, picks the next rung
+of either ladder from the kernel's start and direction: the lambda rung is
+bisected, and the eps rung is read off the sorted live replicate distances,
+where the uniform kernel's ESS jumps.  Every step reweights (``reweight``,
+which also tracks log Z), resamples systematically, rejuvenates by MCMC and
+adapts the replicate count M.
 """
 
 from __future__ import annotations
@@ -196,15 +198,25 @@ def find_next_lambda(
     The ladder moves from ``system.lam`` towards ``cap`` in the kernel's
     direction (lambda up, eps down).  Returns ``cap`` when the ESS there
     still meets the target, and raises LadderStallError when the current ESS
-    is already below it.  Otherwise bisects between the near end (ESS above
-    the target) and the far end (below) until the ESS is within tol*N of
-    tau*N.  The uniform kernel's ESS is a step function of eps that may
-    never come that close; after ``max_iter`` halvings the near end is
-    returned, whose ESS meets the target.  ``predict``, a forecast of the
-    next lambda on a rising ladder, narrows the first bracket.
+    is already below it (by more than tol*N).
+
+    The eps rung is read off the sorted live distances (``_next_eps``): the
+    uniform kernel's ESS is a step function of eps that jumps only there.
+    The lambda rung is bisected between the near end (ESS above the target)
+    and the far end (below) until the ESS is within tol*N of tau*N; after
+    ``max_iter`` halvings the near end is returned, whose ESS meets the
+    target.  ``predict``, a forecast of the next lambda, narrows the first
+    bracket.
     """
     n = system.n_particles
     target = tau * n
+    current = system.ess()
+    if current < target - tol * n:
+        raise LadderStallError(
+            f"ESS {current:.2f} already below target {target:.2f} at {kernel.name} ladder value {system.lam:g}"
+        )
+    if kernel is UniformKernel:
+        return _next_eps(system, target, cap)
     base = _rung_log_sums(kernel, system.dists, system.lam, system.log_weights)
 
     def ess_at(param: float) -> float:
@@ -213,19 +225,9 @@ def find_next_lambda(
         except DegenerateSystemError:
             return 0.0
 
-    current = system.ess()
-    if current < target - tol * n:
-        raise LadderStallError(
-            f"ESS {current:.2f} already below target {target:.2f} at {kernel.name} ladder value {system.lam:g}"
-        )
     if ess_at(cap) >= target:
         return cap
     near, far = system.lam, cap
-    if not math.isfinite(near):
-        # the eps ladder starts at +inf; its first bracket starts at the largest finite distance
-        near = float(np.max(system.dists, where=np.isfinite(system.dists), initial=-math.inf))
-        if near == -math.inf:
-            raise LadderStallError("no finite replicate distance to start the eps ladder from")
     if predict is not None and predict > near:
         far = min(cap, 4.0 * predict)
         while ess_at(far) > target and far < cap:
@@ -243,7 +245,59 @@ def find_next_lambda(
     return near
 
 
-_find_next_eps = find_next_lambda  # perfbench/spans.py wraps the search under this name too
+# perfbench/spans.py wraps the search under this name too; src/ does not call it
+_find_next_eps = find_next_lambda
+
+
+def _next_eps(system: ParticleSystem, target: float, cap: float) -> float:
+    """The eps rung from one sorted pass over the live replicate distances.
+
+    Moving from eps_cur to eps gives particle i the weight a_i c_i(eps), where
+    c_i counts its replicates within eps and a_i = w_i / c_i(eps_cur).  The
+    ESS, (sum a_i c_i)^2 / sum a_i^2 c_i^2, changes only at a live distance:
+    a finite replicate distance within eps_cur of a particle with weight.  At
+    a particle's j-th smallest replicate, sum a_i c_i gains a_i and
+    sum a_i^2 c_i^2 gains a_i^2 (2j - 1), so two cumulative sums over the
+    sorted live distances give the ESS at each distinct one.
+
+    Returns ``cap`` if the ESS there meets ``target``.  Otherwise, scanning
+    down from eps_cur, returns the smallest live distance whose ESS still
+    meets it.  When that is eps_cur itself, the ladder steps anyway, to the
+    next distinct live distance below eps_cur (its ESS is below the target;
+    this is what keeps the ladder moving on tied distances), and raises
+    LadderStallError when there is none.
+    """
+    eps_cur = system.lam
+    log_w = system.log_weights
+    rows = system.dists if system.m_replicates == 1 else np.sort(system.dists, axis=1)
+    within = rows <= eps_cur
+    live = within & (rows < math.inf)
+    # equal weights and one replicate, as after every resampling at M=1: both
+    # cumulative sums at the k-th smallest live distance are k, and so is the ESS
+    equal = system.m_replicates == 1 and np.min(log_w) == np.max(log_w)
+    if equal:
+        d = np.sort(rows[live])
+    else:
+        w = np.exp(log_w - np.max(log_w))
+        live &= (w > 0.0)[:, None]
+        a = w / np.maximum(within.sum(axis=1), 1)  # a row without replicates within eps_cur has no live one
+        d = rows[live]
+        order = np.argsort(d)
+        d = d[order]
+        s1 = np.cumsum(np.broadcast_to(a[:, None], rows.shape)[live][order])
+        s2 = np.cumsum((np.square(a)[:, None] * (2.0 * np.arange(rows.shape[1]) + 1.0))[live][order])
+    ends = np.flatnonzero(np.diff(d, append=math.inf))  # the last entry of each distinct distance
+    values = d[ends]
+    ess_vals = ends + 1.0 if equal else np.square(s1[ends]) / s2[ends]
+    at_cap = np.searchsorted(values, cap, side="right") - 1
+    if at_cap >= 0 and ess_vals[at_cap] >= target:
+        return cap
+    below_cur = int(np.searchsorted(values, eps_cur, side="left"))
+    if below_cur == 0:
+        raise LadderStallError(f"no live replicate distance below eps {eps_cur:g}")
+    short = np.flatnonzero(ess_vals[:below_cur] < target)  # scanning down, the rung stops above the last of these
+    k = min(int(short[-1]) + 1 if short.size else 0, below_cur - 1)
+    return max(float(values[k]), cap)
 
 
 @dataclass
@@ -357,7 +411,7 @@ class SMCConfig:
     m_max: int = 128
     m_change: str = "gibbs"  # or "is"
     initial_m: int = 1
-    bisect_tol: float = 1e-4
+    bisect_tol: float = 1e-4  # lambda ladder only: the eps rung is read off the sorted distances
     kernel: str = "exponential"  # or "uniform"
     eps_target: float | None = None  # uniform kernel stopping window
     sim_budget: int | None = None
@@ -425,7 +479,7 @@ def run_smc(
 ) -> tuple[ParticleSystem, LadderTrace]:
     """Full adaptive SMC loop from the prior to the target inverse temperature (or tolerance).
 
-    Each ladder step: choose the next rung by ESS bisection, reweight and
+    Each ladder step: choose the next rung by ESS (``find_next_lambda``), reweight and
     update log Z, resample systematically, rejuvenate with K MCMC sweeps, then
     adapt the replicate count M.  Identical config and seed reproduce the
     trace bit for bit.

@@ -352,7 +352,7 @@ class UniformKernel(_Kernel):
     """log #{i : d_i <= eps}; the eps ladder starts at +inf and decreases.
 
     The accept/reject baseline: weight increments are 0 or -inf, and the
-    same ESS search that drives lambda drives eps.
+    ESS is a step function of eps that jumps only at replicate distances.
     """
 
     name = "uniform"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from abcsmc import cli
+from abcsmc import config as cfgmod
 from abcsmc.bounds import BoundConstants, corollary1_terms, empirical_bound, nonparametric_rate
 from abcsmc.exceptions import LadderStallError
 
@@ -291,6 +292,7 @@ class TestExperiments:
         assert {r[1] for r in acc[1:]} == {"adaptive_m", "fixed_m1"}
         for tag in ("exponential", "reference", "uniform", "fixed_m1"):
             assert (tmp_path / "seed_0" / f"trace_{tag}.csv").exists()
+        _check_spend(tmp_path, ["exponential", "uniform"])
 
     def test_exp2_artifacts(self, tmp_path):
         rc = cli.main(
@@ -324,6 +326,7 @@ class TestExperiments:
         assert len(agg) == 4
         bound = _read_csv(tmp_path / "bound_table.csv")
         assert bound[0][0] == "step" and len(bound) > 1
+        _check_spend(tmp_path, ["fixed_n30", "uniform_n30"])
 
     def test_exp3_artifacts(self, tmp_path):
         rc = cli.main(
@@ -358,6 +361,21 @@ class TestExperiments:
         widths = [float(r[3]) - float(r[2]) for r in dens[1:]]
         total = sum(d * w for d, w in zip((float(r[4]) for r in dens[1:]), widths))
         assert total == pytest.approx(2.0, abs=1e-6)  # two normalized histograms
+        _check_spend(tmp_path, ["abc", "uniform"])
+
+    def test_uniform_arm_ends_at_a_stalled_ladder(self, tmp_path, capsys):
+        # exp3's tied distances stall the eps ladder long before this budget
+        cfg = cfgmod.preset("exp3")
+        cfg["smc"]["n_particles"] = 300
+        spend = []
+        system = cli._uniform_arm(cfg, 0, tmp_path, "uniform", 200_000, spend)
+        assert system.sim_calls < 200_000
+        trace_rows = _read_csv(tmp_path / "trace_uniform.csv")
+        assert len(trace_rows) > 1
+        assert spend == [[0, "uniform", "ladder_stall", len(trace_rows) - 1, system.sim_calls, 200_000]]
+        err = capsys.readouterr().err
+        assert "uniform arm uniform (seed 0) stopped with ladder_stall" in err
+        assert f"after {system.sim_calls} of 200000 simulator calls" in err
 
     def test_empty_seed_list_rejected(self, tmp_path):
         rc = cli.main(["experiment", "toy-discrete", "--seeds", "", "--out", str(tmp_path)])
@@ -384,3 +402,17 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "run complete" in proc.stdout
     assert (out / "summary.json").exists()
+
+
+def _check_spend(out, arms):
+    """spend.csv has one row per arm of seed 0; the uniform arm ran on the
+    other arm's spend as its budget."""
+    spend = _read_csv(out / "spend.csv")
+    assert spend[0] == ["seed", "arm", "status", "steps", "sim_calls", "sim_budget"]
+    rows = {r[1]: r for r in spend[1:]}
+    assert list(rows) == arms and all(r[0] == "0" for r in rows.values())
+    compared, uniform = (rows[a] for a in arms)
+    assert compared[5] == "" and uniform[5] == compared[4]
+    for r in rows.values():
+        assert r[2] in {"ok", "budget_exhausted", "ladder_stall", "max_steps"}
+        assert int(r[3]) >= 1 and int(r[4]) > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcsmc import config as cfgmod
+from abcsmc import smc
 from abcsmc.exceptions import (
     DegenerateSystemError,
     InvalidConfigError,
@@ -248,6 +250,76 @@ class TestFindNextLambda:
             assert find_next_lambda(system, 0.9, cap, kernel=kernel) == cap
 
 
+class TestEpsFromSortedDistances:
+    """The eps rung is read off the live distances: finite replicate distances
+    within the current eps of particles with weight."""
+
+    def test_tied_distances_step_to_the_next_distance_below(self):
+        # every eps in [0.5, 1) keeps one particle, so no eps below 1.0 meets
+        # tau*N = 9: the ladder steps to 0.5 anyway, with ESS 1
+        system = make_system([[1.0]] * 9 + [[0.5]], lam=1.0)
+        assert find_next_lambda(system, 0.9, 0.0, kernel=UniformKernel) == 0.5
+
+    def test_no_distance_below_the_current_eps_stalls(self):
+        system = make_system(np.ones((4, 2)), lam=1.0)
+        with pytest.raises(LadderStallError):
+            find_next_lambda(system, 0.5, 0.0, kernel=UniformKernel)
+
+    def test_oracle_on_random_systems(self, rng):
+        outcomes = {"cap": 0, "interior": 0, "no_move": 0}
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            m = int(rng.integers(1, 5))
+            dists = rng.integers(0, 8, size=(n, m)).astype(float)  # integer distances: ties
+            dists[rng.random((n, m)) < 0.1] = math.inf
+            eps_cur = math.inf if rng.random() < 0.3 else float(rng.integers(2, 8))
+            lacking = ~np.any(dists <= eps_cur, axis=1)  # every row keeps kernel mass at eps_cur
+            dists[lacking, 0] = rng.integers(0, int(min(eps_cur, 7.0)) + 1, size=int(lacking.sum()))
+            if rng.random() < 0.3:
+                log_w = np.full(n, -math.log(n))  # equal weights, as after resampling
+            else:
+                log_w = np.log(rng.dirichlet(np.ones(n)))
+                log_w[rng.random(n) < 0.2] = -math.inf
+                if not np.any(np.isfinite(log_w)):
+                    continue
+            system = make_system(dists, lam=eps_cur, log_weights=log_w)
+            tau = float(rng.uniform(0.3, 1.0)) * ess(log_w) / n  # the current ESS meets the target
+            cap = float(rng.integers(0, 3)) if rng.random() < 0.5 else float(rng.uniform(0.0, 2.0))
+            target = tau * n
+
+            def meets(eps):
+                return naive_ess(system, UniformKernel, eps) >= target * (1.0 - 1e-12)
+
+            alive = np.isfinite(log_w)[:, None]
+            live = np.unique(dists[alive & (dists <= eps_cur) & np.isfinite(dists)])
+            below = live[live < eps_cur]
+            cap_meets = np.any(live <= cap) and meets(cap)
+            try:
+                new = find_next_lambda(system, tau, cap, kernel=UniformKernel)
+            except LadderStallError:
+                assert not cap_meets and below.size == 0
+                continue
+            if cap_meets:
+                assert new == cap
+                outcomes["cap"] += 1
+                continue
+            assert new == cap or new in below
+            # scanning down from eps_cur: the rungs meet the target down to new
+            above = below[below > new]
+            assert all(meets(v) for v in above)
+            if meets(new):
+                lower = below[below < new]
+                assert lower.size == 0 or not meets(lower[-1])
+                assert new > cap
+                outcomes["interior"] += 1
+            else:
+                # no eps below eps_cur meets the target: the next distance below is taken
+                assert above.size == 0
+                assert new == max(below[-1], cap)
+                outcomes["no_move"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+
 class TestPredictNextLambda:
     def test_geometric_history_extrapolates(self):
         history = [(t, 0.5 * 2.0**t) for t in range(1, 6)]
@@ -385,6 +457,31 @@ class TestRunSMC:
         kern = UniformKernel.log_sum(system.dists, system.lam)
         alive = np.isfinite(system.log_weights)
         assert np.all(np.isfinite(kern[alive]))
+
+    def test_eps_ladder_moves_on_tied_distances(self):
+        # the sup distance of indicator means takes multiples of 1/n only; the
+        # ladder steps down through them and stops with a stall at the last one
+        cfg = cfgmod.preset("exp3")
+        smc_cfg = dataclasses.replace(
+            cfgmod.build_smc_config(cfg, 0),
+            n_particles=300,
+            kernel="uniform",
+            eps_target=0.02,
+            lambda_target=None,
+            max_steps=300,
+            on_stall="stop",
+        ).validate()
+        _, trace = run_smc(
+            smc_cfg,
+            cfgmod.build_model(cfg),
+            cfgmod.build_summary(cfg),
+            cfgmod.build_distance(cfg),
+            cfgmod.build_observations(cfg, 0),
+        )
+        assert trace.status == "ladder_stall"
+        assert len(trace) < 150
+        assert np.all(np.diff(trace.lambdas) < 0)
+        assert trace.lambdas[-1] < 5.0 / 90
 
     def test_sim_budget_stops_run(self):
         model, summary, dist, obs = _toy_problem()
@@ -545,8 +642,9 @@ class TestTraceAndSnapshots:
 
 class TestSamplerInvariants:
     """After every step of a run: log weights finite where alive, without NaN, and
-    normalised; log Z never rises; and each non-final exponential rung meets the ESS
-    target within the bisection tolerance."""
+    normalised; log Z never rises; no kernel weight increment is positive; each
+    non-final exponential rung meets the ESS target within the bisection
+    tolerance; and every eps rung lies strictly below the one before it."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -563,7 +661,7 @@ class TestSamplerInvariants:
             lambda_target=4.0 if kernel == "exponential" else None,
             kernel=kernel,
             eps_target=1.0 if preset == "toy-discrete" else 0.05,
-            max_steps=40,  # the eps ladder can freeze on the discrete toy's tied distances
+            max_steps=40,  # keeps each example short
             m_schedule={1: 2, 3: 4} if refresh else None,
             m_change="gibbs",
         ).validate()
@@ -575,17 +673,30 @@ class TestSamplerInvariants:
             assert abs(logsumexp(lw, axis=0)) <= 1e-9
             records.append(record)
 
-        run_smc(
-            smc_cfg,
-            cfgmod.build_model(cfg),
-            cfgmod.build_summary(cfg),
-            cfgmod.build_distance(cfg),
-            cfgmod.build_observations(cfg, seed),
-            hooks=[check],
-        )
+        increments = []
+
+        def recording_reweight(log_weights, *args):
+            out = reweight(log_weights, *args)
+            alive = np.isfinite(log_weights)
+            increments.append(out[0][alive] - log_weights[alive])
+            return out
+
+        with mock.patch.object(smc, "reweight", recording_reweight):
+            run_smc(
+                smc_cfg,
+                cfgmod.build_model(cfg),
+                cfgmod.build_summary(cfg),
+                cfgmod.build_distance(cfg),
+                cfgmod.build_observations(cfg, seed),
+                hooks=[check],
+            )
         assert records
+        assert len(increments) == len(records)
+        assert all(np.all(inc <= 0.0) for inc in increments)
         log_z = [0.0] + [r.log_z for r in records]
         assert np.all(np.diff(log_z) <= 0.0)
         if kernel == "exponential":
             for r in records[:-1]:
                 assert abs(r.ess - smc_cfg.tau * 200) <= smc_cfg.bisect_tol * 200
+        else:
+            assert np.all(np.diff([r.lam for r in records]) < 0.0)
