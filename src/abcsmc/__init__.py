@@ -32,7 +32,7 @@ from .exceptions import (
     OutOfRangeError,
 )
 from .madapt import adapt_m
-from .mcmc import ProposalCalibration, calibrate
+from .mcmc import calibrate
 from .models import (
     DiscreteToyModel,
     GaussianLocationModel,
@@ -83,7 +83,6 @@ __all__ = [
     "MixtureModel",
     "OutOfRangeError",
     "ParticleSystem",
-    "ProposalCalibration",
     "SMCConfig",
     "SummarySpec",
     "TruthGenerator",

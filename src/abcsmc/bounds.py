@@ -146,23 +146,16 @@ def adaptive_objective(beta: float, log_z_at, constants: BoundConstants, distanc
     """Bound averaged over lambda ~ Exp(beta), in closed form.
 
     With mean(lambda) = 1/beta and mean(lambda^2) = 2/beta^2 the averaged
-    bound reads beta * [-log Z_(1/beta) + 2 f-coefficient / beta^2
-    + KL(Exp(beta), Exp(alpha)) + log(1/eps)]; log Z is evaluated at the
-    mean bandwidth 1/beta by interpolation of the computed ladder.
+    bound reads beta * [-log Z_(1/beta) + 2 f(n, 1) / beta^2
+    + KL(Exp(beta), Exp(alpha)) + log(1/eps)], f being quadratic in lambda;
+    log Z is evaluated at the mean bandwidth 1/beta by interpolation of the
+    computed ladder.
     """
     if beta <= constants.alpha:
         raise InvalidConfigError("beta must exceed alpha for the KL term to exist")
-    lam_eff = 1.0 / beta
-    log_z = log_z_at(lam_eff)
-    if distance_kind in ("lp", "sup"):
-        f_coef = constants.K**2 * constants.m ** (2.0 / constants.p) / constants.n
-    elif distance_kind == "scaled_empirical_l2":
-        f_coef = constants.K / (2.0 * constants.n)
-    else:
-        raise InvalidConfigError(f"unknown distance_kind {distance_kind!r}")
     return beta * (
-        -log_z
-        + (2.0 / beta**2) * f_coef
+        -log_z_at(1.0 / beta)
+        + (2.0 / beta**2) * mcdiarmid_f(constants, 1.0, distance_kind)
         + exponential_family_kl(beta, constants.alpha)
         + math.log(1.0 / constants.eps)
     )

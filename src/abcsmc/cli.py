@@ -153,6 +153,7 @@ def _execute(cfg: dict, seed: int):
 
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
+    constants = cfgmod.build_bound_constants(cfg) if "bound" in cfg else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -177,8 +178,7 @@ def cmd_run(args) -> int:
     }
     if isinstance(model, DiscreteToyModel):
         report["tv_to_enumerated"], _ = _tv_to_enumeration(model, summary, dist_spec, observations, system)
-    if "bound" in cfg:
-        constants = BoundConstants(**cfg["bound"])
+    if constants is not None:
         if len(trace) > 0 and trace.lambdas[0] < trace.lambdas[-1]:
             lam_hat, sel = adaptive_select_lambda(trace, constants, distance_kind=dist_spec.kind)
             report["lambda_hat"] = lam_hat
@@ -199,8 +199,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    with open(args.constants) as fh:
-        doc = json.load(fh)
+    doc = cfgmod.read_json(args.constants)
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"constants file {args.constants} must hold an object")
     distance_kind = doc.pop("distance_kind", "lp")
     extras = {k: doc.pop(k) for k in ("beta_grid", "beta_smooth") if k in doc}
     out = Path(args.out)
@@ -222,7 +223,7 @@ def cmd_bound(args) -> int:
         print(f"wrote {path}")
         return 0
 
-    constants = BoundConstants(**doc)
+    constants = BoundConstants(**cfgmod.keyword_args(f"constants file {args.constants}", doc, BoundConstants))
     if args.mode == "cor1":
         report = corollary1_terms(constants)
         header = ["lambda_star", "value"] + sorted(report.components)
@@ -420,7 +421,7 @@ def _experiment2(cfg, seeds, out, name):
                 model, summ, system.theta, system.weights(), len(obs), seed
             )
             estimators["fixed_lambda"] = s_fixed
-            constants = BoundConstants(**ncfg["bound"])
+            constants = cfgmod.build_bound_constants(ncfg)
             lam_hat, _ = adaptive_select_lambda(trace, constants, distance_kind=dist_spec.kind)
             th_a, w_a = posterior_at_lambda(trace, lam_hat)
             s_adapt, _ = _posterior_predictive_stats(model, summ, th_a, w_a, len(obs), seed)
@@ -447,7 +448,7 @@ def _experiment2(cfg, seeds, out, name):
     sd = _seed_dir(out, seeds[0])
     cfg0 = json.loads(json.dumps(cfg))
     _, _, dist_spec, _, _, trace = _run_variant(cfg0, seeds[0], sd, "bound_source")
-    constants = BoundConstants(**cfg["bound"])
+    constants = cfgmod.build_bound_constants(cfg)
     _write_csv(
         out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(trace, constants, dist_spec.kind)
     )

@@ -20,10 +20,12 @@ the identity.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 
 import numpy as np
 
+from .bounds import BoundConstants
 from .exceptions import InvalidConfigError
 from .models import (
     DiscreteToyModel,
@@ -38,13 +40,16 @@ from .statistics import DistanceSpec, SummarySpec
 _SECTIONS = {"model", "truth", "observations", "summary", "distance", "smc", "bound", "n_grid"}
 
 
-def load_config(path) -> dict:
+def read_json(path):
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise InvalidConfigError(f"{path}:{err.lineno}: {err.msg}") from None
-    return validate_config(cfg)
+
+
+def load_config(path) -> dict:
+    return validate_config(read_json(path))
 
 
 def dumps_config(cfg: dict) -> str:
@@ -86,43 +91,73 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return validate_config(cfg)
 
 
+# the JSON values that each annotation admits (a bool is no number here); other names admit anything
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "tuple": (list, tuple), "dict": dict, "None": type(None)}
+
+
+def _admits(annotation, value) -> bool:
+    """Whether a JSON value fits a parameter annotation (a string; an absent one admits anything)."""
+    if not isinstance(annotation, str):
+        return True
+    kinds = [_JSON_TYPES.get(t.split("[")[0].strip(), object) for t in annotation.split("|")]
+    return any(isinstance(value, k) for k in kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def keyword_args(where: str, values, fn) -> dict:
+    """A copy of ``values`` as keyword arguments of ``fn``, JSON arrays as tuples; InvalidConfigError names
+    ``where`` and the key if values is not an object, has a key fn does not take or a value it does not
+    admit, or lacks one that fn needs."""
+    if not isinstance(values, dict):
+        raise InvalidConfigError(f"{where} must be an object")
+    params = inspect.signature(fn).parameters
+    for key, value in values.items():
+        if key not in params:
+            raise InvalidConfigError(f"unknown key {key!r} in {where}")
+        if not _admits(params[key].annotation, value):
+            raise InvalidConfigError(f"key {key!r} in {where} must be {params[key].annotation}, not {value!r}")
+    for key, param in params.items():
+        if param.default is param.empty and key not in values:
+            raise InvalidConfigError(f"{where} needs key {key!r}")
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in values.items()}
+
+
+_MODELS = {
+    "mixture": MixtureModel,
+    "gaussian_location": GaussianLocationModel,
+    "discrete_toy": DiscreteToyModel.from_obs_probs,
+}
+
+
 def build_model(cfg: dict):
-    section = dict(cfg["model"])
+    section = dict(cfg["model"]) if isinstance(cfg["model"], dict) else {}
     name = section.pop("name", None)
-    if name == "mixture":
-        return MixtureModel(**section)
-    if name == "gaussian_location":
-        return GaussianLocationModel(**section)
-    if name == "discrete_toy":
-        return DiscreteToyModel.from_obs_probs(
-            theta_values=section["theta_values"],
-            prior_weights=section["prior_weights"],
-            obs_values=section["obs_values"],
-            obs_probs=section["obs_probs"],
-            n=section["n"],
-        )
-    raise InvalidConfigError(f"unknown model name {name!r}")
+    if not isinstance(name, str) or name not in _MODELS:
+        raise InvalidConfigError(f"config section 'model' needs a name in {sorted(_MODELS)}, not {name!r}")
+    return _MODELS[name](**keyword_args("config section 'model'", section, _MODELS[name]))
 
 
 def build_summary(cfg: dict) -> SummarySpec:
-    section = dict(cfg["summary"])
-    if "thresholds" in section and section["thresholds"] is not None:
-        section["thresholds"] = tuple(section["thresholds"])
-    if "clamp" in section and section["clamp"] is not None:
-        section["clamp"] = tuple(section["clamp"])
-    return SummarySpec(**section)
+    return SummarySpec(**keyword_args("config section 'summary'", cfg["summary"], SummarySpec))
 
 
 def build_distance(cfg: dict) -> DistanceSpec:
-    return DistanceSpec(**cfg["distance"])
+    return DistanceSpec(**keyword_args("config section 'distance'", cfg["distance"], DistanceSpec))
+
+
+def build_bound_constants(cfg: dict) -> BoundConstants:
+    return BoundConstants(**keyword_args("config section 'bound'", cfg["bound"], BoundConstants))
 
 
 def build_smc_config(cfg: dict, seed: int | None = None) -> SMCConfig:
-    section = dict(cfg["smc"])
+    section = keyword_args("config section 'smc'", cfg["smc"], SMCConfig)
     if seed is not None:
         section["seed"] = seed
     if section.get("m_schedule"):
-        section["m_schedule"] = {int(k): int(v) for k, v in section["m_schedule"].items()}
+        try:
+            section["m_schedule"] = {int(k): int(v) for k, v in section["m_schedule"].items()}
+        except (TypeError, ValueError):
+            raise InvalidConfigError("key 'm_schedule' in config section 'smc' must map steps to counts") from None
     return SMCConfig(**section).validate()
 
 
@@ -134,18 +169,14 @@ def build_observations(cfg: dict, seed: int):
     """
     if "observations" in cfg:
         return np.asarray(cfg["observations"], dtype=float)
-    section = dict(cfg["truth"])
-    n = section.pop("n")
+    section = keyword_args("config section 'truth'", cfg["truth"], TruthGenerator)
     if section.get("kind") == "three_component":
         base = three_component_truth()
         for key in ("weights", "means", "sds", "truncation"):
             section.setdefault(key, getattr(base, key))
-    for key in ("weights", "means", "sds", "truncation"):
-        if key in section and section[key] is not None:
-            section[key] = tuple(section[key])
     gen = TruthGenerator(**section)
     rng = np.random.default_rng([seed, 0x0B5E12])
-    return gen.sample(rng, n)
+    return gen.sample(rng)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ attributes (trailing underscore) or draw posterior samples.
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 import numpy as np
 
@@ -16,14 +16,19 @@ from .exceptions import InvalidConfigError, InvalidInputError
 from .smc import SMCConfig, posterior_at_lambda, run_smc
 from .statistics import DistanceSpec, SummarySpec
 
+_SMC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SMCConfig)}
+_PARAMS = ("model", "summary", "distance", "select_lambda", "bound_constants", *_SMC_DEFAULTS)
+
 
 class ABCPosteriorEstimator:
     """Likelihood-free posterior approximation via adaptive tempered SMC.
 
-    Parameters are the simulator model, the summary/distance specs, and the
-    SMC controls.  ``fit(y)`` runs the sampler on the observed dataset y; the
-    fitted particle system, ladder trace, posterior moments, and log-Z
-    estimate are exposed as trailing-underscore attributes.
+    Parameters are the simulator model, the summary/distance specs, the
+    bandwidth selection switch and its constants, and, as keyword arguments,
+    every ``SMCConfig`` field with its ``SMCConfig`` default.  ``fit(y)`` runs
+    the sampler on the observed dataset y; the fitted particle system, ladder
+    trace, posterior moments, and log-Z estimate are exposed as
+    trailing-underscore attributes.
     """
 
     def __init__(
@@ -31,83 +36,41 @@ class ABCPosteriorEstimator:
         model=None,
         summary: SummarySpec | None = None,
         distance: DistanceSpec | None = None,
-        n_particles: int = 1000,
-        lambda_target: float | None = 60.0,
-        lambda_max: float | None = None,
-        tau: float = 0.9,
-        mcmc_steps: int = 3,
-        accept_target: float = 0.1,
-        adapt_m: bool = True,
-        m_max: int = 128,
-        m_change: str = "gibbs",
-        kernel: str = "exponential",
-        eps_target: float | None = None,
-        store_snapshots: bool = False,
+        *,
         select_lambda: bool = False,
         bound_constants: BoundConstants | None = None,
-        seed: int = 0,
+        **smc_settings,
     ):
         self.model = model
         self.summary = summary
         self.distance = distance
-        self.n_particles = n_particles
-        self.lambda_target = lambda_target
-        self.lambda_max = lambda_max
-        self.tau = tau
-        self.mcmc_steps = mcmc_steps
-        self.accept_target = accept_target
-        self.adapt_m = adapt_m
-        self.m_max = m_max
-        self.m_change = m_change
-        self.kernel = kernel
-        self.eps_target = eps_target
-        self.store_snapshots = store_snapshots
         self.select_lambda = select_lambda
         self.bound_constants = bound_constants
-        self.seed = seed
+        for name, default in _SMC_DEFAULTS.items():
+            setattr(self, name, smc_settings.pop(name, default))
+        if smc_settings:
+            raise InvalidConfigError(f"unknown parameter {sorted(smc_settings)[0]!r}")
 
     # -- parameter plumbing (estimator convention) --------------------------
 
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in _PARAMS}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
         for key, value in params.items():
-            if key not in valid:
+            if key not in _PARAMS:
                 raise InvalidConfigError(f"unknown parameter {key!r}")
             setattr(self, key, value)
         return self
 
     # -- fitting -------------------------------------------------------------
 
-    def _smc_config(self) -> SMCConfig:
-        return SMCConfig(
-            n_particles=self.n_particles,
-            lambda_target=self.lambda_target,
-            lambda_max=self.lambda_max,
-            tau=self.tau,
-            mcmc_steps=self.mcmc_steps,
-            accept_target=self.accept_target,
-            adapt_m=self.adapt_m,
-            m_max=self.m_max,
-            m_change=self.m_change,
-            kernel=self.kernel,
-            eps_target=self.eps_target,
-            store_snapshots=self.store_snapshots or self.select_lambda,
-            seed=self.seed,
-        ).validate()
-
     def fit(self, y):
         if self.model is None or self.summary is None or self.distance is None:
             raise InvalidConfigError("model, summary, and distance must be set before fit")
-        y = np.asarray(y, dtype=float)
-        system, trace = run_smc(self._smc_config(), self.model, self.summary, self.distance, y)
+        settings = {name: getattr(self, name) for name in _SMC_DEFAULTS}
+        settings["store_snapshots"] = self.store_snapshots or self.select_lambda
+        system, trace = run_smc(SMCConfig(**settings), self.model, self.summary, self.distance, y)
         self.system_ = system
         self.trace_ = trace
         self.log_z_ = system.log_z
@@ -115,15 +78,12 @@ class ABCPosteriorEstimator:
         if self.select_lambda:
             if self.bound_constants is None:
                 raise InvalidConfigError("select_lambda requires bound_constants")
-            lam_hat, report = adaptive_select_lambda(trace, self.bound_constants, distance_kind=self.distance.kind)
-            theta, weights = posterior_at_lambda(trace, lam_hat)
-            self.lambda_ = lam_hat
-            self.bound_report_ = report
-            self.theta_ = theta
-            self.weights_ = weights
+            self.lambda_, self.bound_report_ = adaptive_select_lambda(
+                trace, self.bound_constants, distance_kind=self.distance.kind
+            )
+            self.theta_, self.weights_ = posterior_at_lambda(trace, self.lambda_)
         else:
-            self.theta_ = system.theta
-            self.weights_ = system.weights()
+            self.theta_, self.weights_ = system.theta, system.weights()
         self.posterior_mean_ = self.weights_ @ self.theta_
         var = self.weights_ @ (self.theta_ - self.posterior_mean_) ** 2
         self.posterior_sd_ = np.sqrt(np.maximum(var, 0.0))

@@ -20,25 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidInputError
-from .statistics import ExponentialKernel
 
 
-def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> tuple[int, bool]:
-    """Double M when acceptance is below target; returns (new M, saturated?)."""
+def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> int:
+    """The new M: doubled when acceptance is below target and 2M fits under m_max."""
     if not 0.0 <= acceptance_rate <= 1.0:
         raise InvalidInputError("acceptance_rate must lie in [0, 1]")
     if m < 1 or m_max < m:
         raise InvalidConfigError("need 1 <= m <= m_max")
-    if acceptance_rate < target:
-        if 2 * m <= m_max:
-            return 2 * m, False
-        return m, True
-    return m, False
-
-
-def retention_log_weights(dists: np.ndarray, lam: float, kernel) -> np.ndarray:
-    """Unnormalized log retention weights log K(d_k) over a particle's replicates."""
-    return kernel.log_k(np.asarray(dists, dtype=float), lam)
+    if acceptance_rate < target and 2 * m <= m_max:
+        return 2 * m
+    return m
 
 
 def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel) -> int:
@@ -46,7 +38,7 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, k
     from .smc import simulate_distances
 
     n, m_old = system.dists.shape
-    lw = retention_log_weights(system.dists, system.lam, kernel)
+    lw = kernel.log_k(system.dists, system.lam)  # unnormalized log retention weights
     top = lw.max(axis=1, keepdims=True)
     # a particle with no kernel mass has zero target density: keep any replicate, uniformly
     empty = np.isneginf(top[:, 0])
@@ -67,14 +59,12 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, k
     return n * (m_new - 1)
 
 
-def is_log_correction(
-    dists_old: np.ndarray, dists_new: np.ndarray, lam: float, kernel=ExponentialKernel
-) -> np.ndarray:
+def is_log_correction(dists_old: np.ndarray, dists_new: np.ndarray, lam: float, kernel) -> np.ndarray:
     """Per-particle log importance correction for replacing M old replicates by M' fresh ones.
 
     log w = log [M sum_i K(d~_i)] - log [M' sum_i K(d_i)], with the old
     distances d and the fresh ones d~ in the rows of the two arrays and K
-    the kernel at lam (e^(-lam d) by default).
+    the kernel at lam.
     """
     return (
         np.log(dists_old.shape[-1])

@@ -7,51 +7,32 @@ targets the joint replicate-augmented distribution exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import InvalidInputError
 
 
-@dataclass(frozen=True)
-class ProposalCalibration:
-    """Cholesky factor of the scaled (and possibly ridged) particle covariance."""
+def calibrate(theta: np.ndarray, scale: float | None = None, ridge: float = 1e-10) -> np.ndarray:
+    """Random-walk proposal from the current (equally weighted) population.
 
-    chol: np.ndarray  # (d, d) lower triangular, of scale * (cov + ridge * I)
-    scale: float
-    ridge: float
-
-
-def calibrate(
-    theta: np.ndarray,
-    weights: np.ndarray | None = None,
-    scale: float | None = None,
-    ridge: float = 1e-10,
-) -> ProposalCalibration:
-    """Random-walk covariance from the current population.
-
-    Uses the classic 2.38^2/d scaling by default; the ridge is multiplied by
-    ten until the Cholesky factorization succeeds, so a degenerate population
-    still yields a usable (if tiny) proposal.
+    Returns the lower Cholesky factor L of scale * (cov + ridge * I), with the
+    classic 2.38^2/d scale by default; the ridge is multiplied by ten until
+    the factorization succeeds, so a degenerate population still yields a
+    usable (if tiny) proposal.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] < 2:
         raise InvalidInputError("theta must be (N, d) with N >= 2")
     d = theta.shape[1]
-    if scale is None:
-        scale = 2.38**2 / d
-    cov = np.cov(theta, rowvar=False, aweights=weights)
-    cov = np.atleast_2d(cov)
+    scale = 2.38**2 / d if scale is None else scale
+    cov = np.atleast_2d(np.cov(theta, rowvar=False))
     while True:
         try:
-            chol = np.linalg.cholesky(scale * (cov + ridge * np.eye(d)))
-            break
+            return np.linalg.cholesky(scale * (cov + ridge * np.eye(d)))
         except np.linalg.LinAlgError:
             ridge *= 10.0
             if ridge > 1e12:
                 raise InvalidInputError("covariance could not be regularized") from None
-    return ProposalCalibration(chol=chol, scale=scale, ridge=ridge)
 
 
 def mh_log_ratio(log_k_cur, log_k_prop, log_prior_cur, log_prior_prop):
@@ -67,18 +48,17 @@ def mh_log_ratio(log_k_cur, log_k_prop, log_prior_cur, log_prior_prop):
     return np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
 
-def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, rng, kernel):
+def rejuvenate(system, model, summary, dist_spec, n_obs, chol, k_steps, rng, kernel):
     """k_steps in-place MH sweeps over all particles; returns (accept_rate, sim_calls).
 
-    Continuous models use a Gaussian random walk with the calibrated
-    covariance; discrete models (theta_atoms set) use a symmetric uniform
+    Continuous models use a Gaussian random walk with step chol @ z, chol
+    from ``calibrate``; discrete models (theta_atoms set) use a symmetric uniform
     proposal over the atoms.  Acceptance uses the standard rule
     log U < ``mh_log_ratio``.
     """
     from .smc import simulate_distances
 
     n, m = system.dists.shape
-    d = system.theta.shape[1]
     atoms = model.theta_atoms
     log_prior = model.prior_logpdf_batch(system.theta)
     log_kern = kernel.log_sum(system.dists, system.lam)
@@ -87,7 +67,7 @@ def rejuvenate(system, model, summary, dist_spec, n_obs, calibration, k_steps, r
         if atoms is not None:
             prop = atoms[rng.integers(0, len(atoms), size=n)]
         else:
-            prop = system.theta + rng.standard_normal((n, d)) @ calibration.chol.T
+            prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
         lp_prop = model.prior_logpdf_batch(prop)
         d_prop = simulate_distances(
             model, prop, n_obs, m, rng, summary, dist_spec, system.observed_stats

@@ -191,7 +191,6 @@ def find_next_lambda(
     tol: float = 1e-4,
     kernel=ExponentialKernel,
     predict: float | None = None,
-    max_iter: int = 100,
 ) -> float:
     """Next rung of the kernel's ladder: where the ESS falls to tau*N.
 
@@ -204,9 +203,8 @@ def find_next_lambda(
     uniform kernel's ESS is a step function of eps that jumps only there.
     The lambda rung is bisected between the near end (ESS above the target)
     and the far end (below) until the ESS is within tol*N of tau*N; after
-    ``max_iter`` halvings the near end is returned, whose ESS meets the
-    target.  ``predict``, a forecast of the next lambda, narrows the first
-    bracket.
+    100 halvings the near end is returned, whose ESS meets the target.
+    ``predict``, a forecast of the next lambda, narrows the first bracket.
     """
     n = system.n_particles
     target = tau * n
@@ -233,7 +231,7 @@ def find_next_lambda(
         while ess_at(far) > target and far < cap:
             near = far
             far = min(2.0 * far, cap)
-    for _ in range(max_iter):
+    for _ in range(100):
         mid = 0.5 * (near + far)
         e = ess_at(mid)
         if abs(e - target) <= tol * n:
@@ -398,23 +396,22 @@ def load_trace_csv(path) -> LadderTrace:
 
 @dataclass
 class SMCConfig:
-    """Inputs of the SMC driver; validated on construction via ``validate``."""
+    """Inputs of the SMC driver, checked by ``validate`` (``run_smc`` calls it)."""
 
     n_particles: int = 1000
-    lambda_target: float | None = 60.0  # None => adaptive mode, run to lambda_max
-    lambda_max: float | None = None  # default 10 * lambda_target in fixed mode
+    lambda_target: float | None = 60.0  # exponential kernel: required, the last rung; uniform: ignored
     tau: float = 0.9
     mcmc_steps: int = 3
     proposal_scale: float | None = None  # default 2.38^2 / d
     accept_target: float = 0.1
-    adapt_m: bool = True
+    adapt_m: bool = True  # double M while MCMC acceptance < accept_target (exponential kernel)
     m_max: int = 128
     m_change: str = "gibbs"  # or "is"
     initial_m: int = 1
     bisect_tol: float = 1e-4  # lambda ladder only: the eps rung is read off the sorted distances
     kernel: str = "exponential"  # or "uniform"
-    eps_target: float | None = None  # uniform kernel stopping window
-    sim_budget: int | None = None
+    eps_target: float | None = None  # uniform kernel: required, the last rung of its eps ladder
+    sim_budget: int | None = None  # simulator calls; checked at the start of each step
     max_steps: int = 10_000
     store_snapshots: bool = False
     snapshot_max: int = 200
@@ -432,11 +429,8 @@ class SMCConfig:
         if self.kernel == "uniform":
             if self.eps_target is None or self.eps_target < 0:
                 raise InvalidConfigError("uniform kernel requires eps_target >= 0")
-        elif self.lambda_target is None:
-            if self.lambda_max is None or self.lambda_max <= 0:
-                raise InvalidConfigError("adaptive mode requires lambda_max > 0")
-        elif self.lambda_target < 0:
-            raise InvalidConfigError("lambda_target must be >= 0")
+        elif self.lambda_target is None or self.lambda_target < 0:
+            raise InvalidConfigError("exponential kernel requires lambda_target >= 0")
         if self.m_change not in ("gibbs", "is"):
             raise InvalidConfigError(f"unknown m_change {self.m_change!r}")
         if self.on_stall not in ("raise", "stop", "advance"):
@@ -496,14 +490,12 @@ def run_smc(
     if not uniform and config.lambda_target == 0.0:
         return system, trace
 
-    # the search runs towards cap; the ladder ends on the first rung at or past stop
-    if uniform:
-        cap = config.eps_target
-    elif config.lambda_max is not None:
-        cap = config.lambda_max
-    else:
-        cap = 10.0 * config.lambda_target
-    stop = cap if uniform or config.lambda_target is None else min(config.lambda_target, cap)
+    # The search runs towards cap; the ladder ends on the first rung at or past
+    # stop.  The lambda search keeps its far end at 10x the target: a bracket
+    # ending at the target itself lands on other rungs, and so changes every
+    # exponential-kernel trace.
+    stop = config.eps_target if uniform else config.lambda_target
+    cap = stop if uniform else 10.0 * stop
 
     n = config.n_particles
     m = config.initial_m
@@ -552,12 +544,9 @@ def run_smc(
             system.log_weights = np.full(n, -math.log(n))
 
         if config.mcmc_steps > 0:
-            if model.theta_atoms is None:
-                calib = mcmc.calibrate(system.theta, None, scale=config.proposal_scale)
-            else:
-                calib = None
+            chol = mcmc.calibrate(system.theta, config.proposal_scale) if model.theta_atoms is None else None
             accept_rate, sim_count = mcmc.rejuvenate(
-                system, model, summary, dist_spec, n_obs, calib, config.mcmc_steps, rng, kernel
+                system, model, summary, dist_spec, n_obs, chol, config.mcmc_steps, rng, kernel
             )
             system.sim_calls += sim_count
         else:
@@ -566,7 +555,7 @@ def run_smc(
         if config.m_schedule is not None:
             m_new = config.m_schedule.get(step, m)
         elif config.adapt_m and not uniform:
-            m_new, _ = madapt.adapt_m(accept_rate, m, config.accept_target, config.m_max)
+            m_new = madapt.adapt_m(accept_rate, m, config.accept_target, config.m_max)
         else:
             m_new = m
         if m_new != m:
@@ -628,17 +617,12 @@ def posterior_at_lambda(trace: LadderTrace, lam: float):
     """Particle approximation at an off-ladder lambda (or eps, on a uniform-kernel trace).
 
     Takes the stored snapshot at the ladder step nearest lam and reweights it
-    exactly with the trace's kernel.  The increment is added in the order
-    (log w + log K_lam) - log K_rung, not through ``reweight``, which
-    rounds differently and would shift the experiment outputs in their last
-    digits.
+    exactly with the trace's kernel (``reweight``).
     """
     candidates = [r for r in trace.records if r.snapshot is not None]
     if not candidates:
         raise InvalidConfigError("trace carries no snapshots; rerun with store_snapshots=True")
     rec = min(candidates, key=lambda r: abs(r.lam - lam))
     theta, dists, log_w = rec.snapshot
-    kernel = KERNELS[trace.kernel]
-    log_w = log_w + kernel.log_sum(dists, lam) - _rung_log_sums(kernel, dists, rec.lam, log_w)
-    log_w = log_w - logsumexp(log_w, axis=0)
-    return theta, np.exp(log_w)
+    log_w, log_norm = reweight(log_w, 0.0, dists, KERNELS[trace.kernel], rec.lam, lam)
+    return theta, np.exp(log_w - log_norm)

@@ -241,6 +241,58 @@ class TestBound:
         assert rc == 2
 
 
+def _run_override(preset, override):
+    return lambda tmp_path: ["run", "--preset", preset, *TOY_FAST, "--override", override]
+
+
+def _run_without_obs_probs(tmp_path):
+    cfg = cfgmod.preset("toy-discrete")
+    del cfg["model"]["obs_probs"]
+    path = tmp_path / "cfg.json"
+    path.write_text(cfgmod.dumps_config(cfg))
+    return ["run", "--config", str(path), *TOY_FAST]
+
+
+def _bound_constants(doc):
+    def argv(tmp_path):
+        path = tmp_path / "constants.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return ["bound", "--constants", str(path), "--mode", "cor1"]
+
+    return argv
+
+
+# each bad input, and what its error message must name: the section and the key
+BAD_INPUTS = {
+    "smc-unknown-key": (_run_override("toy-discrete", "smc.bogus=1"), ["'smc'", "'bogus'"]),
+    "model-unknown-key": (_run_override("toy-quadrature", "model.bogus=1"), ["'model'", "'bogus'"]),
+    "summary-unknown-key": (_run_override("toy-discrete", "summary.bogus=1"), ["'summary'", "'bogus'"]),
+    "distance-unknown-key": (_run_override("toy-discrete", "distance.bogus=1"), ["'distance'", "'bogus'"]),
+    "truth-unknown-key": (_run_override("toy-quadrature", "truth.bogus=1"), ["'truth'", "'bogus'"]),
+    "bound-unknown-key": (_run_override("toy-quadrature", "bound.bogus=1"), ["'bound'", "'bogus'"]),
+    "smc-stale-lambda-max": (_run_override("toy-discrete", "smc.lambda_max=50"), ["'smc'", "'lambda_max'"]),
+    "smc-tau-not-a-number": (_run_override("toy-discrete", 'smc.tau="x"'), ["'smc'", "'tau'"]),
+    "bound-n-not-a-number": (_run_override("toy-quadrature", 'bound.n="x"'), ["'bound'", "'n'"]),
+    "truth-n-not-a-number": (_run_override("toy-quadrature", 'truth.n="x"'), ["'truth'", "'n'"]),
+    "smc-m-schedule-keys": (_run_override("toy-discrete", 'smc.m_schedule={"a":2}'), ["'smc'", "'m_schedule'"]),
+    "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
+    "truth-not-an-object": (_run_override("toy-quadrature", "truth=[1]"), ["'truth'"]),
+    "constants-unknown-key": (_bound_constants({**TestBound.CONSTANTS, "bogus": 1}), ["constants file", "'bogus'"]),
+    "constants-array": (_bound_constants([1, 2]), ["constants file", "object"]),
+    "constants-malformed-json": (_bound_constants('{"n": 50,'), ["constants.json:1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_input_exits_2(case, tmp_path, capsys):
+    argv, named = BAD_INPUTS[case]
+    rc = cli.main([*argv(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    for text in named:
+        assert text in err
+
+
 class TestExperiments:
     def test_toy_discrete_aggregate(self, tmp_path):
         rc = cli.main(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from abcsmc.bounds import BoundConstants
 from abcsmc.estimator import ABCPosteriorEstimator
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError
 from abcsmc.models import GaussianLocationModel
+from abcsmc.smc import SMCConfig
 from abcsmc.statistics import DistanceSpec, SummarySpec
 
 
@@ -40,6 +43,29 @@ class TestParams:
         est = _gaussian_estimator(seed=5)
         clone = ABCPosteriorEstimator(**est.get_params())
         assert clone.get_params() == est.get_params()
+
+
+class TestSMCSettings:
+    def test_every_smc_config_field_is_a_param_with_its_default(self):
+        params = ABCPosteriorEstimator().get_params()
+        for f in dataclasses.fields(SMCConfig):
+            assert f.name in params
+            assert params[f.name] == getattr(SMCConfig(), f.name)
+
+    def test_set_params_and_clone_reach_every_field(self):
+        est = _gaussian_estimator().set_params(sim_budget=5000, m_schedule={2: 2}, on_stall="stop")
+        clone = ABCPosteriorEstimator(**est.get_params())
+        assert clone.get_params() == est.get_params()
+        assert (clone.sim_budget, clone.m_schedule, clone.on_stall) == (5000, {2: 2}, "stop")
+
+    def test_max_steps_reaches_the_run(self, rng):
+        est = _gaussian_estimator(max_steps=2).fit(rng.normal(0.7, 1.0, size=100))
+        assert len(est.trace_) == 2
+        assert est.trace_.status == "max_steps"
+
+    def test_unknown_constructor_key_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            _gaussian_estimator(bogus=1)
 
 
 class TestFit:

@@ -10,7 +10,6 @@ from abcsmc.madapt import (
     gibbs_refresh_system,
     is_log_correction,
     is_refresh_system,
-    retention_log_weights,
 )
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ParticleSystem, simulate_distances
@@ -21,16 +20,17 @@ class TestAdaptM:
     @pytest.mark.parametrize(
         "rate,m,expected",
         [
-            (0.05, 4, (8, False)),  # below target: double
-            (0.10, 4, (4, False)),  # at target: keep
-            (0.50, 4, (4, False)),  # above target: keep
-            (0.05, 128, (128, True)),  # would exceed cap: saturate
-            (0.05, 100, (100, True)),  # 2m > cap even if m < cap
-            (0.0, 1, (2, False)),
+            (0.05, 4, (8, "below target: double")),
+            (0.10, 4, (4, "at target: keep")),
+            (0.50, 4, (4, "above target: keep")),
+            (0.05, 128, (128, "would exceed cap: saturate")),
+            (0.05, 100, (100, "2m > cap even if m < cap: saturate")),
+            (0.0, 1, (2, "below target: double")),
         ],
     )
     def test_doubling_table(self, rate, m, expected):
-        assert adapt_m(rate, m, target=0.1, m_max=128) == expected
+        new_m, _case = expected
+        assert adapt_m(rate, m, target=0.1, m_max=128) == new_m
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -62,8 +62,9 @@ def _gaussian_setup(rng, n, m, lam=2.0, n_obs=25):
 
 class TestGibbsRefresh:
     def test_retention_log_weights(self):
+        # the Gibbs refresh retains replicate k with log weight kernel.log_k(d_k)
         np.testing.assert_allclose(
-            retention_log_weights([1.0, 2.0], 3.0, ExponentialKernel), [-3.0, -6.0], rtol=1e-15
+            ExponentialKernel.log_k(np.array([1.0, 2.0]), 3.0), [-3.0, -6.0], rtol=1e-15
         )
 
     def test_retention_frequencies_match_distribution(self, rng):
@@ -169,7 +170,7 @@ class TestISRefresh:
         naive = math.log(
             (4 * np.exp(-lam * d_new).sum() / 8) / np.exp(-lam * d_old).sum()
         )
-        assert is_log_correction(d_old, d_new, lam) == pytest.approx(naive, rel=1e-12)
+        assert is_log_correction(d_old, d_new, lam, ExponentialKernel) == pytest.approx(naive, rel=1e-12)
 
     def test_uniform_kernel_correction_counts_window_hits(self):
         eps = 1.0
@@ -213,5 +214,5 @@ class TestISRefresh:
         )[0]
         est = np.exp(-lam * draws).mean()
         # the correction ratio recentres the kernel estimate on its true mean
-        w = math.exp(is_log_correction(d_old, draws, lam))
+        w = math.exp(is_log_correction(d_old, draws, lam, ExponentialKernel))
         assert w == pytest.approx(est / denom, rel=1e-10)

@@ -15,29 +15,24 @@ from test_models import small_discrete_model
 class TestCalibrate:
     def test_default_scale_and_recovery(self, rng):
         theta = rng.normal(size=(4000, 2)) @ np.array([[1.0, 0.0], [0.5, 2.0]])
-        cal = calibrate(theta)
-        assert cal.scale == pytest.approx(2.38**2 / 2)
-        cov_hat = cal.chol @ cal.chol.T / cal.scale
+        chol = calibrate(theta)
+        cov_hat = chol @ chol.T / (2.38**2 / 2)
         np.testing.assert_allclose(cov_hat, np.cov(theta, rowvar=False), atol=1e-8)
 
     def test_explicit_scale(self, rng):
         theta = rng.normal(size=(100, 3))
-        cal = calibrate(theta, scale=0.5)
-        assert cal.scale == 0.5
-
-    def test_weighted_covariance(self, rng):
-        theta = rng.normal(size=(500, 1))
-        w = rng.dirichlet(np.ones(500))
-        cal = calibrate(theta, weights=w)
-        expected = cal.scale * (np.cov(theta, rowvar=False, aweights=w) + cal.ridge)
-        assert cal.chol[0, 0] ** 2 == pytest.approx(float(expected), rel=1e-12)
+        chol = calibrate(theta, scale=0.5)
+        np.testing.assert_allclose(chol @ chol.T / 0.5, np.cov(theta, rowvar=False), atol=1e-8)
 
     def test_degenerate_population_gets_ridge(self):
         theta = np.zeros((50, 2))  # zero covariance
-        cal = calibrate(theta)
-        assert cal.ridge >= 1e-10
-        assert np.all(np.isfinite(cal.chol))
-        assert cal.chol[0, 0] > 0
+        chol = calibrate(theta)
+        assert np.all(np.isfinite(chol))
+        assert chol[0, 0] > 0
+        ridge = (chol @ chol.T / (2.38**2 / 2) - np.cov(theta, rowvar=False))[0, 0]
+        # zero covariance factorizes with the default ridge 1e-10 itself; the
+        # square root and its square round it to 9.999999999999998e-11 here
+        assert ridge == pytest.approx(1e-10, rel=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
@@ -187,8 +182,8 @@ class TestRejuvenate:
             log_z=0.0,
             observed_stats=obs_stats,
         )
-        cal = calibrate(theta)
-        rate, sims = rejuvenate(system, model, summary, dist_spec, len(obs), cal, k, rng, ExponentialKernel)
+        chol = calibrate(theta)
+        rate, sims = rejuvenate(system, model, summary, dist_spec, len(obs), chol, k, rng, ExponentialKernel)
         assert sims == n * k * m
         assert 0.0 < rate < 1.0
         assert not np.array_equal(system.theta, theta)

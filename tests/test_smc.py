@@ -498,7 +498,7 @@ class TestRunSMC:
         with pytest.raises(InvalidConfigError):
             SMCConfig(kernel="uniform").validate()  # needs eps_target
         with pytest.raises(InvalidConfigError):
-            SMCConfig(lambda_target=None, lambda_max=None).validate()
+            SMCConfig(lambda_target=None).validate()  # the exponential kernel needs a target
         with pytest.raises(InvalidConfigError):
             SMCConfig(m_change="bogus").validate()
         with pytest.raises(InvalidConfigError):

@@ -9,9 +9,15 @@ this tool.  Each is made once per checkout in a child process that imports
 the package from that checkout's ``src``.  A run counts as identical only if
 both sides exit 0, both write ``trace.csv``, and both write the same files
 with the same bytes, except ``summary.json``'s ``wall_time_s``.  One line
-is printed per run; the exit code is 1 if any run is not identical, else 0.
-The run directories are kept, and their path printed, only when some run is
-not identical.
+is printed per run.
+
+Then ``abcsmc experiment exp1|exp2|exp3 --seeds 7`` runs once per checkout,
+shrunk by ``EXPERIMENT_OVERRIDES``, and every CSV it writes is compared byte
+for byte: one line per file, with the largest relative difference of its
+numeric cells when the two files differ in numbers only.
+
+The exit code is 1 if any run, experiment or CSV is not identical, else 0.
+The run directories are kept, and their path printed, only then.
 
 A change that claims to keep the sampler's arithmetic bit for bit should
 pass this against its parent commit; a change that alters the random stream
@@ -20,7 +26,9 @@ or the ladder on purpose shows here which runs it moved.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -74,9 +82,14 @@ def runs(work: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_once(checkout: Path, args: list[str], out: Path) -> tuple[int, float]:
-    """One ``abcsmc run`` against the package in ``checkout``; returns (exit code, seconds)."""
-    cmd = [sys.executable, "-m", "abcsmc.cli", "run", *args, "--seed", str(SEED), "--out", str(out)]
+# every experiment, shrunk from minutes to seconds
+EXPERIMENTS = ["exp1", "exp2", "exp3"]
+EXPERIMENT_OVERRIDES = ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16", "smc.mcmc_steps=2"]
+
+
+def cli_once(checkout: Path, argv: list[str], out: Path) -> tuple[int, float]:
+    """One ``abcsmc`` command against the package in ``checkout``; returns (exit code, seconds)."""
+    cmd = [sys.executable, "-m", "abcsmc.cli", *argv, "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True)
@@ -105,6 +118,29 @@ def differences(base: Path, change: Path) -> list[str]:
         if not (a.is_file() and b.is_file()) or artifact(a) != artifact(b):
             out.append(name)
     return out
+
+
+def csv_verdict(a: Path, b: Path) -> str:
+    """"same" for identical files; else how they differ, with the largest
+    relative difference of the numeric cells when only numbers differ."""
+    if not (a.is_file() and b.is_file()):
+        return "MISSING " + ("change" if a.is_file() else "base")
+    if a.read_bytes() == b.read_bytes():
+        return "same"
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "DIFFER in shape"
+    worst = 0.0
+    for x, y in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
+        if x != y:
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                return "DIFFER in text"
+            if fx != fy:  # not "1.0" against "1"
+                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return f"DIFFER max rel {worst:.1e}"
 
 
 def verdict(codes: dict[str, int], base: Path, change: Path) -> str:
@@ -136,7 +172,7 @@ def main(argv=None) -> int:
         for side, checkout in checkouts.items():
             out = work / side / name
             out.mkdir(parents=True)
-            codes[side], secs[side] = run_once(checkout, args, out)
+            codes[side], secs[side] = cli_once(checkout, ["run", *args, "--seed", str(SEED)], out)
         result = verdict(codes, work / "base" / name, work / "change" / name)
         failed += result != "same"
         print(
@@ -144,6 +180,28 @@ def main(argv=None) -> int:
             flush=True,
         )
     print(f"{len(all_runs) - failed}/{len(all_runs)} runs identical at seed {SEED}")
+
+    n_files = same_files = 0
+    for name in EXPERIMENTS:
+        argv = ["experiment", name, "--seeds", str(SEED)]
+        for item in EXPERIMENT_OVERRIDES:
+            argv += ["--override", item]
+        codes = {}
+        for side, checkout in checkouts.items():
+            codes[side], _ = cli_once(checkout, argv, work / side / f"experiment-{name}")
+        if codes["base"] != 0 or codes["change"] != 0:
+            failed += 1
+            print(f"FAILED exit {codes['base']} / {codes['change']}  experiment {name}", flush=True)
+            continue
+        base, change = work / "base" / f"experiment-{name}", work / "change" / f"experiment-{name}"
+        files = sorted({p.relative_to(d) for d in (base, change) for p in d.rglob("*.csv")})
+        for rel in files:
+            result = csv_verdict(base / rel, change / rel)
+            n_files += 1
+            same_files += result == "same"
+            print(f"{result:<24} {name}/{rel}", flush=True)
+    failed += n_files - same_files
+    print(f"{same_files}/{n_files} experiment CSVs identical at seed {SEED}")
     if failed:
         print(f"run directories kept in {work}")
         return 1
