@@ -209,16 +209,14 @@ def cmd_bound(args) -> int:
     path = out / f"bound_{args.mode}.csv"
 
     if args.mode == "nonparam":
-        if "beta_smooth" not in extras:
-            raise InvalidConfigError("nonparam mode needs 'beta_smooth' in the constants file")
-        n = int(doc.get("n", 0))
-        if n < 2:
-            raise InvalidConfigError("nonparam mode needs 'n' >= 2 in the constants file")
-        r = nonparametric_rate(n, float(extras["beta_smooth"]))
+        # other keys are ignored: the same file may carry the BoundConstants of the other modes
+        given = {k: v for k, v in {**doc, **extras}.items() if k in ("n", "beta_smooth")}
+        kw = cfgmod.keyword_args(f"constants file {args.constants}", given, nonparametric_rate)
+        r = nonparametric_rate(**kw)
         _write_csv(
             path,
             ["n", "beta_smooth", "rate", "lambda_n", "c_n", "order_only"],
-            [[n, _g(extras["beta_smooth"]), _g(r.rate), _g(r.lambda_n), _g(r.c_n), r.order_only]],
+            [[kw["n"], _g(kw["beta_smooth"]), _g(r.rate), _g(r.lambda_n), _g(r.c_n), r.order_only]],
         )
         print(f"wrote {path}")
         return 0

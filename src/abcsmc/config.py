@@ -12,9 +12,6 @@ A run configuration is a nested JSON document with sections:
       "bound":    {...BoundConstants fields...}          (optional)
       "n_grid":   [n1, n2, ...]      (optional, sample-size sweep in studies)
     }
-
-Serialization is canonical (sorted keys), so parse -> serialize -> parse is
-the identity.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ def read_json(path):
 
 def load_config(path) -> dict:
     return validate_config(read_json(path))
-
-
-def dumps_config(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, indent=2)
 
 
 def validate_config(cfg: dict) -> dict:

@@ -13,6 +13,9 @@ each applied to the whole particle system at once:
   replicates by fresh draws and correct the weights by the ratio of kernel
   averages (``is_log_correction``).  The correction has heavy tails at large
   lambda and is included as the unstable baseline.
+
+Both draw their fresh replicates through ``simulate(theta, m)``, the run's
+``smc.simulator``: the (N, m) distances of m new datasets per particle.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> int:
     return m
 
 
-def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel) -> int:
+def gibbs_refresh_system(system, m_new, simulate, rng, kernel) -> int:
     """Vectorized Gibbs refresh of the whole population; returns simulator calls."""
-    from .smc import simulate_distances
-
     n, m_old = system.dists.shape
     lw = kernel.log_k(system.dists, system.lam)  # unnormalized log retention weights
     top = lw.max(axis=1, keepdims=True)
@@ -50,10 +51,7 @@ def gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, k
     k = np.minimum(np.sum(cum < u[:, None], axis=1), m_old - 1)
     kept_d = system.dists[np.arange(n), k]
     if m_new > 1:
-        d_new = simulate_distances(
-            model, system.theta, n_obs, m_new - 1, rng, summary, dist_spec, system.observed_stats
-        )
-        system.dists = np.concatenate([kept_d[:, None], d_new], axis=1)
+        system.dists = np.concatenate([kept_d[:, None], simulate(system.theta, m_new - 1)], axis=1)
     else:
         system.dists = kept_d[:, None]
     return n * (m_new - 1)
@@ -74,13 +72,9 @@ def is_log_correction(dists_old: np.ndarray, dists_new: np.ndarray, lam: float, 
     )
 
 
-def is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel) -> int:
+def is_refresh_system(system, m_new, simulate, kernel) -> int:
     """Replace all replicates by fresh ones and apply the importance correction."""
-    from .smc import simulate_distances
-
-    d_new = simulate_distances(
-        model, system.theta, n_obs, m_new, rng, summary, dist_spec, system.observed_stats
-    )
+    d_new = simulate(system.theta, m_new)
     system.log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam, kernel)
     system.dists = d_new
     return system.n_particles * m_new

@@ -48,16 +48,15 @@ def mh_log_ratio(log_k_cur, log_k_prop, log_prior_cur, log_prior_prop):
     return np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
 
-def rejuvenate(system, model, summary, dist_spec, n_obs, chol, k_steps, rng, kernel):
+def rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
     """k_steps in-place MH sweeps over all particles; returns (accept_rate, sim_calls).
 
     Continuous models use a Gaussian random walk with step chol @ z, chol
     from ``calibrate``; discrete models (theta_atoms set) use a symmetric uniform
-    proposal over the atoms.  Acceptance uses the standard rule
-    log U < ``mh_log_ratio``.
+    proposal over the atoms.  ``simulate(theta, m)`` gives each proposal its
+    m fresh replicate distances (the run's ``smc.simulator``).  Acceptance
+    uses the standard rule log U < ``mh_log_ratio``.
     """
-    from .smc import simulate_distances
-
     n, m = system.dists.shape
     atoms = model.theta_atoms
     log_prior = model.prior_logpdf_batch(system.theta)
@@ -69,9 +68,7 @@ def rejuvenate(system, model, summary, dist_spec, n_obs, chol, k_steps, rng, ker
         else:
             prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
         lp_prop = model.prior_logpdf_batch(prop)
-        d_prop = simulate_distances(
-            model, prop, n_obs, m, rng, summary, dist_spec, system.observed_stats
-        )
+        d_prop = simulate(prop, m)
         lk_prop = kernel.log_sum(d_prop, system.lam)
         acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
         np.copyto(system.theta, prop, where=acc[:, None])

@@ -40,6 +40,10 @@ from .statistics import (
 )
 
 
+# Raw simulated values per chunk of simulate_distances: 160 MB of float64, however large M grows
+MAX_SIM_ELEMENTS = 20_000_000
+
+
 def simulate_distances(
     model,
     theta: np.ndarray,
@@ -49,21 +53,20 @@ def simulate_distances(
     summary: SummarySpec,
     dist_spec: DistanceSpec,
     observed_stats: np.ndarray,
-    max_elements: int = 20_000_000,
 ) -> np.ndarray:
     """Distances of m fresh replicate datasets per particle to the observed stats.
 
     The datasets are drawn from ``model.reduced(summary, n_obs)``, which
     gives the same statistic law at a size of at most n_obs (the Gaussian
     sample mean is drawn as one observation).  Replicates are simulated in
-    chunks so the raw (N, chunk, n) array stays bounded in memory regardless
-    of how large M grows.  A NaN distance (a simulator whose output
+    chunks of at most ``MAX_SIM_ELEMENTS`` raw values, so the (N, chunk, n)
+    array stays bounded in memory.  A NaN distance (a simulator whose output
     overflowed, say) becomes +inf: kernel value 0 at every rung past the
     first, rather than a NaN weight and log Z.
     """
     model, n_obs = model.reduced(summary, n_obs)
     n_particles = theta.shape[0]
-    chunk = max(1, min(m, max_elements // max(1, n_particles * n_obs)))
+    chunk = max(1, min(m, MAX_SIM_ELEMENTS // max(1, n_particles * n_obs)))
     out = np.empty((n_particles, m))
     for j0 in range(0, m, chunk):
         j1 = min(m, j0 + chunk)
@@ -71,6 +74,28 @@ def simulate_distances(
         out[:, j0:j1] = distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
     out[np.isnan(out)] = math.inf
     return out
+
+
+def simulator(model, summary: SummarySpec, dist_spec: DistanceSpec, observations, rng):
+    """A run's ``simulate(theta, m)``: the (N, m) distances of fresh replicates to the observations.
+
+    Checks the observations and summarizes them once.  Every call goes
+    through this module's ``simulate_distances``, looked up at call time, so
+    the initial draw, the MCMC moves and the M refresh all simulate through
+    one binding.
+    """
+    observations = np.asarray(observations, dtype=float)
+    if not np.all(np.isfinite(observations)):
+        raise InvalidInputError("observations must be finite")
+    obs_stats = summarize(summary, observations)
+    if not np.all(np.isfinite(obs_stats)):
+        raise InvalidInputError("observed statistics are not finite")
+    n_obs = len(observations)
+
+    def simulate(theta: np.ndarray, m: int) -> np.ndarray:
+        return simulate_distances(model, theta, n_obs, m, rng, summary, dist_spec, obs_stats)
+
+    return simulate
 
 
 def ess(log_weights: np.ndarray) -> float:
@@ -155,7 +180,6 @@ class ParticleSystem:
     log_weights: np.ndarray  # (N,), normalized so logsumexp == 0
     lam: float
     log_z: float
-    observed_stats: np.ndarray
     sim_calls: int = 0
 
     @property
@@ -442,23 +466,14 @@ class SMCConfig:
         return self
 
 
-def _init_system(config, model, summary, dist_spec, observations, rng) -> ParticleSystem:
-    if not np.all(np.isfinite(observations)):
-        raise InvalidInputError("observations must be finite")
-    obs_stats = summarize(summary, observations)
-    if not np.all(np.isfinite(obs_stats)):
-        raise InvalidInputError("observed statistics are not finite")
-    n_obs = len(observations)
+def _init_system(config, model, simulate, rng) -> ParticleSystem:
     theta = model.prior_sample(rng, config.n_particles)
-    dists = simulate_distances(model, theta, n_obs, config.initial_m, rng, summary, dist_spec, obs_stats)
-    log_w = np.full(config.n_particles, -math.log(config.n_particles))
     return ParticleSystem(
         theta=theta,
-        dists=dists,
-        log_weights=log_w,
+        dists=simulate(theta, config.initial_m),
+        log_weights=np.full(config.n_particles, -math.log(config.n_particles)),
         lam=KERNELS[config.kernel].start_param,
         log_z=0.0,
-        observed_stats=obs_stats,
         sim_calls=config.n_particles * config.initial_m,
     )
 
@@ -479,13 +494,12 @@ def run_smc(
     trace bit for bit.
     """
     config.validate()
-    observations = np.asarray(observations, dtype=float)
     rng = np.random.default_rng(config.seed)
     kernel = KERNELS[config.kernel]
     uniform = kernel is UniformKernel
-    n_obs = len(observations)
 
-    system = _init_system(config, model, summary, dist_spec, observations, rng)
+    simulate = simulator(model, summary, dist_spec, observations, rng)
+    system = _init_system(config, model, simulate, rng)
     trace = LadderTrace(kernel=kernel.name)
     if not uniform and config.lambda_target == 0.0:
         return system, trace
@@ -545,9 +559,7 @@ def run_smc(
 
         if config.mcmc_steps > 0:
             chol = mcmc.calibrate(system.theta, config.proposal_scale) if model.theta_atoms is None else None
-            accept_rate, sim_count = mcmc.rejuvenate(
-                system, model, summary, dist_spec, n_obs, chol, config.mcmc_steps, rng, kernel
-            )
+            accept_rate, sim_count = mcmc.rejuvenate(system, model, simulate, kernel, rng, chol, config.mcmc_steps)
             system.sim_calls += sim_count
         else:
             accept_rate = 1.0
@@ -560,9 +572,9 @@ def run_smc(
             m_new = m
         if m_new != m:
             if config.m_change == "gibbs":
-                sc = madapt.gibbs_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel)
+                sc = madapt.gibbs_refresh_system(system, m_new, simulate, rng, kernel)
             else:
-                sc = madapt.is_refresh_system(system, m_new, model, summary, dist_spec, n_obs, rng, kernel)
+                sc = madapt.is_refresh_system(system, m_new, simulate, kernel)
                 system.normalize()
             system.sim_calls += sc
             m = m_new

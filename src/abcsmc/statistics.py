@@ -171,8 +171,6 @@ class SummarySpec:
         c = max(abs(self.clamp[0]), abs(self.clamp[1]))
         if self.kind == "moments_and_tails":
             return max(1.0, c, c**2, c**3, c**4)
-        if self.kind == "mean":
-            return c
         return c
 
 

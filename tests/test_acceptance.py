@@ -188,7 +188,6 @@ def test_criterion_04_bisection_contract():
             log_weights=np.full(n, -math.log(n)),
             lam=float(rng.random()),
             log_z=0.0,
-            observed_stats=np.zeros(1),
         )
         tau = float(rng.uniform(0.3, 0.95))
         lam_max = system.lam + float(rng.uniform(0.5, 20.0))
@@ -204,7 +203,6 @@ def test_criterion_04_bisection_contract():
         log_weights=np.full(2, -math.log(2)),
         lam=0.0,
         log_z=0.0,
-        observed_stats=np.zeros(1),
     )
     lam2 = find_next_lambda(two, tau=0.8, cap=10.0, tol=1e-9)
     closed_err = abs(lam2 - math.log(3.0))
@@ -323,14 +321,6 @@ def test_criterion_07_acceptance_floor_adaptive_vs_fixed():
     )
 
 
-def _predictive_stats(model, summary, theta, weights, n_obs, seed):
-    rng = np.random.default_rng([seed, 0x5117])
-    sims = model.simulate_batch(theta, n_obs, 1, rng)
-    from abcsmc.statistics import summarize_batch
-
-    return weights @ summarize_batch(summary, sims)[:, 0, :]
-
-
 @pytest.mark.slow
 def test_criterion_08_mse_decreasing_in_n():
     cfg = cfgmod.preset("exp2")
@@ -351,7 +341,7 @@ def test_criterion_08_mse_decreasing_in_n():
             c["smc"] = dict(cfg["smc"], n_particles=500, m_max=16, store_snapshots=True)
             model, summ, dist_spec, smc_cfg, obs = _build(c, seed)
             system, trace = run_smc(smc_cfg, model, summ, dist_spec, obs)
-            s_fixed = _predictive_stats(model, summ, system.theta, system.weights(), n, seed)
+            s_fixed = cli._posterior_predictive_stats(model, summ, system.theta, system.weights(), n, seed)[0]
             mses["fixed"][n].append(float(np.mean((s_fixed - s_true) ** 2)))
             from abcsmc.bounds import adaptive_select_lambda
 
@@ -359,7 +349,7 @@ def test_criterion_08_mse_decreasing_in_n():
                 trace, BoundConstants(**c["bound"]), distance_kind=dist_spec.kind
             )
             th_a, w_a = posterior_at_lambda(trace, lam_hat)
-            s_adapt = _predictive_stats(model, summ, th_a, w_a, n, seed)
+            s_adapt = cli._posterior_predictive_stats(model, summ, th_a, w_a, n, seed)[0]
             mses["adaptive"][n].append(float(np.mean((s_adapt - s_true) ** 2)))
     wall = time.perf_counter() - t0
     med = {tag: [float(np.median(mses[tag][n])) for n in n_grid] for tag in mses}

@@ -45,12 +45,12 @@ class TestRun:
         assert report["sim_calls"] > 0
 
     def test_config_file_run_with_snapshots(self, tmp_path):
-        from abcsmc.config import dumps_config, preset
+        from abcsmc.config import preset
 
         cfg = preset("toy-discrete")
         cfg["smc"].update(n_particles=300, lambda_target=2.0, store_snapshots=True)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(dumps_config(cfg))
+        cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
@@ -90,14 +90,14 @@ class TestRun:
         assert rc == 2
 
     def test_non_finite_observations_exit_2(self, tmp_path, capsys):
-        from abcsmc.config import dumps_config, preset
+        from abcsmc.config import preset
 
         cfg = preset("toy-quadrature")
         del cfg["truth"]
         cfg["observations"] = [0.1, float("nan"), -0.4]
         cfg["smc"]["n_particles"] = 200
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(dumps_config(cfg))
+        cfg_path.write_text(json.dumps(cfg))
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
@@ -249,15 +249,15 @@ def _run_without_obs_probs(tmp_path):
     cfg = cfgmod.preset("toy-discrete")
     del cfg["model"]["obs_probs"]
     path = tmp_path / "cfg.json"
-    path.write_text(cfgmod.dumps_config(cfg))
+    path.write_text(json.dumps(cfg))
     return ["run", "--config", str(path), *TOY_FAST]
 
 
-def _bound_constants(doc):
+def _bound_constants(doc, mode="cor1"):
     def argv(tmp_path):
         path = tmp_path / "constants.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        return ["bound", "--constants", str(path), "--mode", "cor1"]
+        return ["bound", "--constants", str(path), "--mode", mode]
 
     return argv
 
@@ -280,6 +280,12 @@ BAD_INPUTS = {
     "constants-unknown-key": (_bound_constants({**TestBound.CONSTANTS, "bogus": 1}), ["constants file", "'bogus'"]),
     "constants-array": (_bound_constants([1, 2]), ["constants file", "object"]),
     "constants-malformed-json": (_bound_constants('{"n": 50,'), ["constants.json:1"]),
+    "nonparam-n-not-a-number": (
+        _bound_constants({"n": "x", "beta_smooth": 2}, "nonparam"), ["constants file", "'n'"]
+    ),
+    "nonparam-beta-smooth-not-a-number": (
+        _bound_constants({"n": 50, "beta_smooth": "y"}, "nonparam"), ["constants file", "'beta_smooth'"]
+    ),
 }
 
 

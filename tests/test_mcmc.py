@@ -6,7 +6,7 @@ import pytest
 from abcsmc.exceptions import InvalidInputError
 from abcsmc.mcmc import calibrate, mh_log_ratio, rejuvenate
 from abcsmc.models import GaussianLocationModel
-from abcsmc.smc import ExponentialKernel, ParticleSystem
+from abcsmc.smc import ExponentialKernel, ParticleSystem, simulator
 from abcsmc.statistics import DistanceSpec, SummarySpec
 
 from test_models import small_discrete_model
@@ -136,28 +136,24 @@ class TestRejuvenate:
         obs = np.array([0.0, 1.0])
         lam = 2.0
         from abcsmc.models import enumerated_posterior
-        from abcsmc.smc import simulate_distances
-        from abcsmc.statistics import summarize
 
         target, _ = enumerated_posterior(model, summary, dist_spec, obs, lam)
         rng = np.random.default_rng(7)
         n = 100_000
         theta = rng.choice(model.theta_values, size=(n, 1), p=target)
-        obs_stats = summarize(summary, obs)
-        dists = simulate_distances(model, theta, len(obs), 1, rng, summary, dist_spec, obs_stats)
+        simulate = simulator(model, summary, dist_spec, obs, rng)
         # condition the replicate on theta via one warm-up pass so the pair
         # (theta, d) starts at the joint target before measuring invariance
         system = ParticleSystem(
             theta=theta,
-            dists=dists,
+            dists=simulate(theta, 1),
             log_weights=np.full(n, -math.log(n)),
             lam=lam,
             log_z=0.0,
-            observed_stats=obs_stats,
         )
-        rejuvenate(system, model, summary, dist_spec, len(obs), None, 20, rng, ExponentialKernel)
+        rejuvenate(system, model, simulate, ExponentialKernel, rng, None, 20)
         warm = np.array([np.mean(system.theta[:, 0] == v) for v in model.theta_values])
-        rejuvenate(system, model, summary, dist_spec, len(obs), None, 10, rng, ExponentialKernel)
+        rejuvenate(system, model, simulate, ExponentialKernel, rng, None, 10)
         after = np.array([np.mean(system.theta[:, 0] == v) for v in model.theta_values])
         np.testing.assert_allclose(after, warm, atol=0.01)
         np.testing.assert_allclose(after, target, atol=0.01)
@@ -167,23 +163,19 @@ class TestRejuvenate:
         summary = SummarySpec(kind="mean")
         dist_spec = DistanceSpec(kind="lp", p=2)
         obs = rng.normal(0.5, 1.0, size=30)
-        from abcsmc.smc import simulate_distances
-        from abcsmc.statistics import summarize
 
         n, m, k = 400, 2, 3
         theta = model.prior_sample(rng, n)
-        obs_stats = summarize(summary, obs)
-        dists = simulate_distances(model, theta, len(obs), m, rng, summary, dist_spec, obs_stats)
+        simulate = simulator(model, summary, dist_spec, obs, rng)
         system = ParticleSystem(
             theta=theta.copy(),
-            dists=dists,
+            dists=simulate(theta, m),
             log_weights=np.full(n, -math.log(n)),
             lam=3.0,
             log_z=0.0,
-            observed_stats=obs_stats,
         )
         chol = calibrate(theta)
-        rate, sims = rejuvenate(system, model, summary, dist_spec, len(obs), chol, k, rng, ExponentialKernel)
+        rate, sims = rejuvenate(system, model, simulate, ExponentialKernel, rng, chol, k)
         assert sims == n * k * m
         assert 0.0 < rate < 1.0
         assert not np.array_equal(system.theta, theta)

@@ -51,7 +51,6 @@ def make_system(dists, lam=0.0, log_weights=None):
         log_weights=np.asarray(log_weights, dtype=float),
         lam=lam,
         log_z=0.0,
-        observed_stats=np.zeros(1),
     )
 
 
@@ -348,14 +347,17 @@ class TestUpdateLogZ:
 
 
 class TestSimulateDistances:
-    def test_shape_and_chunking(self, rng):
+    def test_shape_and_chunking(self, rng, monkeypatch):
         model = GaussianLocationModel()
         summary = SummarySpec(kind="mean")
         dist = DistanceSpec()
         theta = model.prior_sample(rng, 13)
-        d = simulate_distances(
-            model, theta, 20, 9, rng, summary, dist, np.zeros(1), max_elements=100
-        )
+        # the mean is drawn as one value per replicate: 100 // 13 gives chunks of 7 and 2
+        monkeypatch.setattr(smc, "MAX_SIM_ELEMENTS", 100)
+        with mock.patch.object(GaussianLocationModel, "simulate_batch", autospec=True,
+                               side_effect=GaussianLocationModel.simulate_batch) as batch:
+            d = simulate_distances(model, theta, 20, 9, rng, summary, dist, np.zeros(1))
+        assert [c.args[3] for c in batch.call_args_list] == [7, 2]
         assert d.shape == (13, 9)
         assert np.all(np.isfinite(d)) and np.all(d >= 0)
 
@@ -580,6 +582,22 @@ class TestRunSMC:
         _, trace = run_smc(cfg, model, summary, dist, obs)
         ms = [r.m for r in trace.records]
         assert ms[0] == 2 and ms[1] == 4 and all(m == 4 for m in ms[2:])
+
+    @pytest.mark.parametrize("m_change", ["gibbs", "is"])
+    def test_every_simulation_goes_through_one_binding(self, m_change):
+        # the initial draw, the MCMC sweeps and the M refresh all call
+        # smc.simulate_distances, and together they make the run's sim_calls
+        model, summary, dist, obs = _toy_problem()
+        cfg = SMCConfig(n_particles=200, lambda_target=3.0, mcmc_steps=2, m_schedule={1: 2, 2: 4},
+                        m_change=m_change, on_stall="stop", seed=5)
+        refresh = f"{m_change}_refresh_system"
+        with mock.patch.object(smc, "simulate_distances", wraps=smc.simulate_distances) as sim, \
+                mock.patch.object(smc.mcmc, "rejuvenate", wraps=smc.mcmc.rejuvenate) as mh, \
+                mock.patch.object(smc.madapt, refresh, wraps=getattr(smc.madapt, refresh)) as ref:
+            system, trace = run_smc(cfg, model, summary, dist, obs)
+        ms = [1] + [r.m for r in trace.records]
+        assert mh.call_count == len(trace) and ref.call_count == sum(a != b for a, b in zip(ms, ms[1:])) >= 1
+        assert sum(c.args[1].shape[0] * c.args[3] for c in sim.call_args_list) == system.sim_calls
 
 
 class TestTraceAndSnapshots:
