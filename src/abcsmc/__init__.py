@@ -50,7 +50,6 @@ from .smc import (
     find_next_lambda,
     load_trace_csv,
     posterior_at_lambda,
-    predict_next_lambda,
     run_smc,
     systematic_resample,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "mcdiarmid_f",
     "nonparametric_rate",
     "posterior_at_lambda",
-    "predict_next_lambda",
     "run_smc",
     "small_ball_log_prior_mass",
     "summarize",

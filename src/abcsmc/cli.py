@@ -38,11 +38,12 @@ from .exceptions import (
     ABCSMCError,
     DegenerateSystemError,
     InvalidConfigError,
+    InvalidInputError,
     LadderStallError,
 )
 from .models import DiscreteToyModel, enumerated_posterior
 from .smc import load_trace_csv, posterior_at_lambda, run_smc
-from .statistics import summarize, summarize_batch
+from .statistics import KERNELS, summarize, summarize_batch
 
 
 def main(argv=None) -> int:
@@ -112,9 +113,10 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
-def _tv_to_enumeration(model, summary, dist_spec, observations, system):
-    """Total variation from the particle posterior over the atoms to enumeration; also the exact log Z."""
-    exact, log_z_exact = enumerated_posterior(model, summary, dist_spec, observations, system.lam)
+def _tv_to_enumeration(model, summary, dist_spec, observations, system, kernel):
+    """Total variation from the particle posterior over the atoms to enumeration under the run's
+    kernel at its last rung; also the exact log Z."""
+    exact, log_z_exact = enumerated_posterior(model, summary, dist_spec, observations, system.lam, kernel)
     got = np.array(
         [np.sum(system.weights() * (system.theta[:, 0] == v)) for v in model.theta_values]
     )
@@ -176,8 +178,9 @@ def cmd_run(args) -> int:
         "theta_sd": system.weighted_sd().tolist(),
         "wall_time_s": wall,
     }
+    kernel = KERNELS[smc_cfg.kernel]
     if isinstance(model, DiscreteToyModel):
-        report["tv_to_enumerated"], _ = _tv_to_enumeration(model, summary, dist_spec, observations, system)
+        report["tv_to_enumerated"], _ = _tv_to_enumeration(model, summary, dist_spec, observations, system, kernel)
     if constants is not None:
         if len(trace) > 0 and trace.lambdas[0] < trace.lambdas[-1]:
             lam_hat, sel = adaptive_select_lambda(trace, constants, distance_kind=dist_spec.kind)
@@ -235,6 +238,8 @@ def cmd_bound(args) -> int:
     if not args.trace:
         raise InvalidConfigError(f"--trace is required for mode {args.mode!r}")
     trace = load_trace_csv(args.trace)
+    if np.any(np.diff(trace.lambdas) < 0):
+        raise InvalidInputError(f"{args.trace} holds a decreasing (eps) ladder; the bound needs a lambda ladder")
 
     if args.mode == "empirical":
         _write_csv(path, _BOUND_TABLE_HEADER, _bound_table_rows(trace, constants, distance_kind))
@@ -355,7 +360,7 @@ def _experiment_toy(cfg, seeds, out, name):
         model, summary, dist_spec, obs, system, trace = _run_variant(cfg, seed, sd, "main")
         row = [seed, len(trace), _g(system.lam), _g(system.log_z), system.sim_calls]
         if isinstance(model, DiscreteToyModel):
-            tv, log_z_exact = _tv_to_enumeration(model, summary, dist_spec, obs, system)
+            tv, log_z_exact = _tv_to_enumeration(model, summary, dist_spec, obs, system, KERNELS[trace.kernel])
             row += [_g(tv), _g(log_z_exact)]
         else:
             row += ["", ""]

@@ -298,16 +298,17 @@ def three_component_truth(n: int = 90, truncation=(-5.0, 5.0)) -> TruthGenerator
     return TruthGenerator(n=n, truncation=truncation, **_DEFAULT_THREE_COMPONENT)
 
 
-def enumerated_posterior(model: DiscreteToyModel, summary_spec, dist_spec, observations, lam: float):
+def enumerated_posterior(model: DiscreteToyModel, summary_spec, dist_spec, observations, lam: float, kernel):
     """Exact pseudo-posterior over the parameter atoms by full enumeration.
 
-    Sums e^(-lam * d(S(x), S(y))) * likelihood(x | atom) * prior(atom) over
-    every possible dataset x.  Returns (atom probabilities, log Z).
+    Sums K(d(S(x), S(y))) * likelihood(x | atom) * prior(atom) over every
+    possible dataset x, where K is the kernel at ``lam`` (e^(-lam d) for the
+    exponential kernel, 1{d <= lam} for the uniform one, lam being eps).
+    Returns (atom probabilities, log Z).
     """
     obs_stats = summarize(summary_spec, np.asarray(observations, dtype=float))
     stats = summarize_batch(summary_spec, model.enumerate_datasets())
     dists = distance_batch(dist_spec, stats, obs_stats)
-    kernel = np.exp(-lam * dists)
-    per_atom = model.prior_weights * (model.likelihood @ kernel)
+    per_atom = model.prior_weights * (model.likelihood @ np.exp(kernel.log_k(dists, lam)))
     z = per_atom.sum()
     return per_atom / z, float(np.log(z))

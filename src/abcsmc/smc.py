@@ -4,11 +4,12 @@ The sampler tracks a weighted population of (theta, replicate distances)
 along a ladder: inverse temperatures lambda rising from 0 for the exponential
 kernel, or tolerances eps falling from +inf for the uniform (accept/reject)
 kernel.  One ESS-targeted search, ``find_next_lambda``, picks the next rung
-of either ladder from the kernel's start and direction: the lambda rung is
-bisected, and the eps rung is read off the sorted live replicate distances,
-where the uniform kernel's ESS jumps.  Every step reweights (``reweight``,
-which also tracks log Z), resamples systematically, rejuvenates by MCMC and
-adapts the replicate count M.
+of either ladder from the kernel's start and direction: the lambda rung is a
+bracketed Newton root of log ESS, whose derivative in lambda is a weighted
+mean replicate distance, and the eps rung is read off the sorted live
+replicate distances, where the uniform kernel's ESS jumps.  Every step
+reweights (``reweight``, which also tracks log Z), resamples systematically,
+rejuvenates by MCMC and adapts the replicate count M.
 """
 
 from __future__ import annotations
@@ -147,30 +148,6 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, positions, side="right"), n - 1)
 
 
-def predict_next_lambda(history) -> float:
-    """One-step extrapolation of the ladder by least squares on log lambda.
-
-    Used only to seed the bisection bracket when replicate sums make ESS
-    evaluations costlier; falls back to doubling when the fit is degenerate.
-    """
-    pts = [(t, lam) for t, lam in history if lam > 0]
-    if not pts:
-        return 1.0
-    if len(pts) < 2:
-        return 2.0 * pts[-1][1]
-    t = np.array([p[0] for p in pts], dtype=float)
-    y = np.log([p[1] for p in pts])
-    a = np.vstack([np.ones_like(t), t]).T
-    try:
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    except np.linalg.LinAlgError:
-        return 2.0 * pts[-1][1]
-    pred = coef[0] + coef[1] * (t[-1] + 1.0)
-    if not np.isfinite(pred):
-        return 2.0 * pts[-1][1]
-    return float(np.exp(min(pred, 700.0)))
-
-
 @dataclass
 class ParticleSystem:
     """Weighted population targeting pi_lambda^M, with log-Z tracking."""
@@ -214,21 +191,15 @@ def find_next_lambda(
     cap: float,
     tol: float = 1e-4,
     kernel=ExponentialKernel,
-    predict: float | None = None,
 ) -> float:
     """Next rung of the kernel's ladder: where the ESS falls to tau*N.
 
     The ladder moves from ``system.lam`` towards ``cap`` in the kernel's
     direction (lambda up, eps down).  Returns ``cap`` when the ESS there
     still meets the target, and raises LadderStallError when the current ESS
-    is already below it (by more than tol*N).
-
-    The eps rung is read off the sorted live distances (``_next_eps``): the
-    uniform kernel's ESS is a step function of eps that jumps only there.
-    The lambda rung is bisected between the near end (ESS above the target)
-    and the far end (below) until the ESS is within tol*N of tau*N; after
-    100 halvings the near end is returned, whose ESS meets the target.
-    ``predict``, a forecast of the next lambda, narrows the first bracket.
+    is already below it (by more than tol*N).  The eps rung is read off the
+    sorted live distances (``_next_eps``); the lambda rung is a Newton root
+    of log ESS - log(tau*N) whose ESS is within tol*N of tau*N (``_next_lambda``).
     """
     n = system.n_particles
     target = tau * n
@@ -239,31 +210,58 @@ def find_next_lambda(
         )
     if kernel is UniformKernel:
         return _next_eps(system, target, cap)
-    base = _rung_log_sums(kernel, system.dists, system.lam, system.log_weights)
+    return _next_lambda(system, target, cap, tol * n, current)
 
-    def ess_at(param: float) -> float:
-        try:
-            return ess(system.log_weights + kernel.log_sum(system.dists, param) - base)
-        except DegenerateSystemError:
-            return 0.0
 
-    if ess_at(cap) >= target:
-        return cap
-    near, far = system.lam, cap
-    if predict is not None and predict > near:
-        far = min(cap, 4.0 * predict)
-        while ess_at(far) > target and far < cap:
-            near = far
-            far = min(2.0 * far, cap)
+def _next_lambda(system: ParticleSystem, target: float, cap: float, tol: float, current: float) -> float:
+    """The lambda rung by Newton's method on g(lam) = log ESS(lam) - log target.
+
+    With dbar_i particle i's mean replicate distance under the weights
+    e^(-lam d), and q1, q2 the new weights and their squares, normalized,
+    g'(lam) = 2 (q2 . dbar - q1 . dbar).  At equal weights g' = 0 and
+    g'' = -2 Var_w(dbar), so the search starts at
+    lam_cur + sqrt(log(ESS_cur / target) / Var_w(dbar)).  Every iterate stays
+    inside (near, far), whose ends have ESS above and below the target: a
+    step that would leave it, or a start without a finite positive variance
+    (an infinite distance at lambda = 0), goes to the midpoint.  Until an
+    iterate falls below the target far is +inf, and an iterate past ``cap``
+    is ``cap``.  Returns the first iterate whose ESS is within ``tol`` of the
+    target, or ``cap`` if its ESS meets it, else ``near`` after 100 steps.
+    """
+    dists, log_w, near, far = system.dists, system.log_weights, system.lam, math.inf
+    base = _rung_log_sums(ExponentialKernel, dists, near, log_w)
+    finite = np.where(dists < math.inf, dists, 0.0)  # past lambda = 0 an infinite distance has kernel value 0
+
+    def weighted_mean(w, v):
+        return float(w @ v / w.sum())
+
+    def mean_dists(lam, log_sums):
+        # lam > 0; a row without kernel mass has mean 0 (and weight 0)
+        if dists.shape[1] == 1:
+            return finite[:, 0]
+        tilt = np.exp(-lam * dists - np.where(log_sums > -math.inf, log_sums, 0.0)[:, None])
+        return np.einsum("ij,ij->i", tilt, finite)
+
+    lam = far  # the midpoint of (near, +inf): cap
+    dbar = dists.mean(axis=1) if near == 0.0 else mean_dists(near, base)
+    if np.all(np.isfinite(dbar)):
+        w = np.exp(log_w - np.max(log_w))
+        var = weighted_mean(w, np.square(dbar - weighted_mean(w, dbar)))
+        start = near + math.sqrt(max(math.log(current / target), 0.0) / var) if var > 0.0 else math.nan
+        lam = start if start > near else lam
     for _ in range(100):
-        mid = 0.5 * (near + far)
-        e = ess_at(mid)
-        if abs(e - target) <= tol * n:
-            return mid
-        if e >= target:
-            near = mid
-        else:
-            far = mid
+        lam = min(lam, cap)
+        log_sums = ExponentialKernel.log_sum(dists, lam)
+        log_weights = log_w + log_sums - base
+        value = ess(log_weights)
+        if abs(value - target) <= tol or (lam == cap and value >= target):
+            return lam
+        near, far = (lam, far) if value >= target else (near, lam)
+        e = np.exp(log_weights - np.max(log_weights))
+        dbar = mean_dists(lam, log_sums)
+        slope = 2.0 * (weighted_mean(e * e, dbar) - weighted_mean(e, dbar))
+        newton = lam - math.log(value / target) / slope if slope < 0.0 else math.nan
+        lam = newton if near < newton < far else 0.5 * (near + far)
     return near
 
 
@@ -432,7 +430,7 @@ class SMCConfig:
     m_max: int = 128
     m_change: str = "gibbs"  # or "is"
     initial_m: int = 1
-    bisect_tol: float = 1e-4  # lambda ladder only: the eps rung is read off the sorted distances
+    bisect_tol: float = 1e-4  # lambda ladder only: Newton stops at |ESS - tau*N| <= bisect_tol * N
     kernel: str = "exponential"  # or "uniform"
     eps_target: float | None = None  # uniform kernel: required, the last rung of its eps ladder
     sim_budget: int | None = None  # simulator calls; checked at the start of each step
@@ -440,7 +438,7 @@ class SMCConfig:
     store_snapshots: bool = False
     snapshot_max: int = 200
     seed: int = 0
-    on_stall: str = "raise"  # or "stop" / "advance" (instrumented: push on, keep weights)
+    on_stall: str = "raise"  # or "stop" / "advance" (instrumented: lambda * 1.5, keep weights)
     m_schedule: dict[int, int] | None = None  # forced M per step, overrides adaptation
 
     def validate(self):
@@ -504,25 +502,17 @@ def run_smc(
     if not uniform and config.lambda_target == 0.0:
         return system, trace
 
-    # The search runs towards cap; the ladder ends on the first rung at or past
-    # stop.  The lambda search keeps its far end at 10x the target: a bracket
-    # ending at the target itself lands on other rungs, and so changes every
-    # exponential-kernel trace.
     stop = config.eps_target if uniform else config.lambda_target
-    cap = stop if uniform else 10.0 * stop
-
     n = config.n_particles
     m = config.initial_m
-    history: list[tuple[int, float]] = []
 
     for step in range(1, config.max_steps + 1):
         if config.sim_budget is not None and system.sim_calls >= config.sim_budget:
             trace.status = "budget_exhausted"
             break
         stalled = False
-        predict = predict_next_lambda(history) if (not uniform and m > 1 and history) else None
         try:
-            lam_new = find_next_lambda(system, config.tau, cap, config.bisect_tol, kernel, predict)
+            lam_new = find_next_lambda(system, config.tau, stop, config.bisect_tol, kernel)
         except LadderStallError as err:
             if config.on_stall != "advance" or uniform:
                 trace.status = "ladder_stall"
@@ -532,13 +522,11 @@ def run_smc(
                 break
             # The current weights are already below the ESS target -- the
             # importance-sampling M refresh can do this -- so no admissible
-            # temperature exists.  Push the ladder along the predicted
-            # geometric schedule anyway and keep the damaged weights:
-            # resampling would launder the diagnostic, and the whole point
-            # of this instrumented mode is to record how the weight ESS
-            # collapses once the ESS contract is broken.
-            predicted = predict_next_lambda(history) if history else None
-            lam_new = predicted if (predicted is not None and predicted > system.lam) else 1.5 * system.lam
+            # temperature exists.  Push lambda by half anyway and keep the
+            # damaged weights: resampling would launder the diagnostic, and
+            # this instrumented mode records how the weight ESS collapses once
+            # the ESS contract is broken.
+            lam_new = 1.5 * system.lam
             stalled = True
         final = kernel.direction * (lam_new - stop) >= 0
         if final:
@@ -580,7 +568,6 @@ def run_smc(
             m = m_new
         ess_post = system.ess()
 
-        history.append((step, lam_new))
         snapshot = None
         if config.store_snapshots:
             snapshot = (system.theta.copy(), system.dists.copy(), system.log_weights.copy())

@@ -20,6 +20,8 @@ TOY_FAST = [
     "smc.lambda_target=3.0",
 ]
 
+UNIFORM = ["--override", 'smc.kernel="uniform"', "--override", "smc.lambda_target=null"]
+
 
 def _read_csv(path):
     with open(path) as fh:
@@ -77,6 +79,16 @@ class TestRun:
         report = json.loads((out / "summary.json").read_text())
         assert "empirical_bound" in report
         assert "lambda_hat" in report and 0 < report["lambda_hat"] <= 5.0
+
+    def test_uniform_kernel_tv_is_to_the_uniform_posterior(self, tmp_path):
+        # measured against the exponential kernel at lambda = eps, this read 0.063
+        out = tmp_path / "run"
+        argv = ["run", "--preset", "toy-discrete", *UNIFORM, "--override", "smc.eps_target=1"]
+        argv += ["--override", "smc.n_particles=20000", "--override", 'smc.on_stall="stop"']
+        assert cli.main([*argv, "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "summary.json").read_text())
+        assert report["status"] == "ok" and report["lambda_final"] == 1.0
+        assert report["tv_to_enumerated"] < 0.02
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -145,6 +157,15 @@ def small_trace(tmp_path_factory):
     return out / "trace.csv"
 
 
+@pytest.fixture(scope="module")
+def eps_run(tmp_path_factory):
+    """Directory of a short uniform-kernel (eps ladder) run with a bound section."""
+    out = tmp_path_factory.mktemp("eps_run")
+    argv = ["run", "--preset", "toy-quadrature", *UNIFORM, "--override", "smc.eps_target=0.05"]
+    assert cli.main([*argv, "--override", "smc.n_particles=500", "--out", str(out)]) == 0
+    return out
+
+
 class TestBound:
     CONSTANTS = {"n": 50, "m": 1, "p": 2, "K": 1.0, "d": 1, "theta_var": 4.0, "eps": 0.05}
 
@@ -203,6 +224,14 @@ class TestBound:
         assert len(selected) == 1
         objectives = [float(r[2]) for r in rows[1:]]
         assert float(selected[0][2]) == pytest.approx(min(objectives), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["empirical", "adaptive"])
+    def test_eps_ladder_exit_2(self, tmp_path, eps_run, mode, capsys):
+        cpath = self._constants_file(tmp_path)
+        argv = ["bound", "--trace", str(eps_run / "trace.csv"), "--constants", str(cpath), "--mode", mode]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert "decreasing" in capsys.readouterr().err
+        assert not (tmp_path / f"bound_{mode}.csv").exists()
 
     def test_adaptive_mode_requires_trace(self, tmp_path):
         cpath = self._constants_file(tmp_path)

@@ -137,7 +137,7 @@ class TestRejuvenate:
         lam = 2.0
         from abcsmc.models import enumerated_posterior
 
-        target, _ = enumerated_posterior(model, summary, dist_spec, obs, lam)
+        target, _ = enumerated_posterior(model, summary, dist_spec, obs, lam, ExponentialKernel)
         rng = np.random.default_rng(7)
         n = 100_000
         theta = rng.choice(model.theta_values, size=(n, 1), p=target)

@@ -13,7 +13,14 @@ from abcsmc.models import (
     enumerated_posterior,
     three_component_truth,
 )
-from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec, summarize_batch
+from abcsmc.statistics import (
+    BLOCK_ELEMENTS,
+    DistanceSpec,
+    ExponentialKernel,
+    SummarySpec,
+    UniformKernel,
+    summarize_batch,
+)
 
 
 def small_discrete_model():
@@ -166,7 +173,7 @@ class TestDiscreteToyModel:
         summary = SummarySpec(kind="identity")
         dist = DistanceSpec(kind="lp", p=1)
         obs = np.array([0.0, 2.0])
-        post, log_z = enumerated_posterior(model, summary, dist, obs, 200.0)
+        post, log_z = enumerated_posterior(model, summary, dist, obs, 200.0, ExponentialKernel)
         ds = model.enumerate_datasets()
         j = next(i for i, d in enumerate(ds) if tuple(d) == tuple(obs))
         exact = model.prior_weights * model.likelihood[:, j]
@@ -174,10 +181,23 @@ class TestDiscreteToyModel:
         np.testing.assert_allclose(post, exact, atol=1e-8)
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_enumerated_posterior_uniform_kernel_counts_datasets_within_eps(self):
+        model = small_discrete_model()
+        summary = SummarySpec(kind="identity")
+        dist = DistanceSpec(kind="lp", p=1)
+        obs = np.array([0.0, 2.0])
+        ds = model.enumerate_datasets()
+        for eps in (0.0, 1.0, 2.5):
+            post, log_z = enumerated_posterior(model, summary, dist, obs, eps, UniformKernel)
+            inside = np.abs(ds - obs).sum(axis=1) <= eps
+            per_atom = model.prior_weights * model.likelihood[:, inside].sum(axis=1)
+            np.testing.assert_allclose(post, per_atom / per_atom.sum(), rtol=1e-12)
+            assert log_z == pytest.approx(math.log(per_atom.sum()), rel=1e-12)
+
     def test_enumerated_posterior_at_zero_is_prior(self):
         model = small_discrete_model()
         post, log_z = enumerated_posterior(
-            model, SummarySpec(kind="identity"), DistanceSpec(kind="lp", p=1), [0.0, 2.0], 0.0
+            model, SummarySpec(kind="identity"), DistanceSpec(kind="lp", p=1), [0.0, 2.0], 0.0, ExponentialKernel
         )
         np.testing.assert_allclose(post, model.prior_weights, atol=1e-12)
         assert log_z == pytest.approx(0.0, abs=1e-12)

@@ -28,7 +28,6 @@ from abcsmc.smc import (
     load_trace_csv,
     logsumexp,
     posterior_at_lambda,
-    predict_next_lambda,
     reweight,
     run_smc,
     simulate_distances,
@@ -248,6 +247,27 @@ class TestFindNextLambda:
             system = make_system([[1.0], [1.0], [1.0]], lam=start)
             assert find_next_lambda(system, 0.9, cap, kernel=kernel) == cap
 
+    def test_infinite_distances_meet_the_contract(self, rng):
+        # an infinite replicate distance has kernel value 1 at lambda = 0 and 0
+        # past it: no RuntimeWarning (inf * 0) and the usual ESS contract
+        for lam in (0.0, 0.7):
+            for m in (1, 3):
+                for _ in range(20):
+                    n = int(rng.integers(10, 60))
+                    dists = rng.exponential(size=(n, m))
+                    dists[rng.random((n, m)) < 0.2] = math.inf
+                    if lam > 0.0:
+                        dists[:, 0] = np.minimum(dists[:, 0], 3.0)  # every particle keeps kernel mass
+                    system = make_system(dists, lam=lam)
+                    new = find_next_lambda(system, 0.5, lam + 20.0, 1e-4)
+                    assert lam < new < lam + 20.0
+                    # plain kernel sums, with every kernel value 1 at lambda = 0
+                    old_sums = m if lam == 0.0 else np.exp(-lam * dists).sum(axis=1)
+                    w = np.exp(-new * dists).sum(axis=1) / old_sums
+                    assert abs(w.sum() ** 2 / (w**2).sum() - 0.5 * n) <= 1e-4 * n
+        with pytest.raises(DegenerateSystemError):  # no lambda > 0 leaves a particle any weight
+            find_next_lambda(make_system(np.full((4, 2), math.inf)), 0.5, 10.0)
+
 
 class TestEpsFromSortedDistances:
     """The eps rung is read off the live distances: finite replicate distances
@@ -319,17 +339,43 @@ class TestEpsFromSortedDistances:
         assert min(outcomes.values()) > 0, outcomes
 
 
-class TestPredictNextLambda:
-    def test_geometric_history_extrapolates(self):
-        history = [(t, 0.5 * 2.0**t) for t in range(1, 6)]
-        pred = predict_next_lambda(history)
-        assert pred == pytest.approx(0.5 * 2.0**6, rel=1e-9)
+class TestLambdaSearchCost:
+    @pytest.mark.parametrize(
+        "preset, overrides",
+        [
+            ("exp1", ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16"]),
+            ("toy-discrete", []),
+        ],
+    )
+    def test_at_most_five_ess_evaluations_per_rung(self, monkeypatch, preset, overrides):
+        counts = {"searches": 0, "ess": 0}
+        searching = [False]
+        ess_fn, search_fn = smc.ess, smc.find_next_lambda
 
-    def test_single_point_doubles(self):
-        assert predict_next_lambda([(1, 3.0)]) == pytest.approx(6.0)
+        def counted_ess(log_weights):
+            counts["ess"] += searching[0]
+            return ess_fn(log_weights)
 
-    def test_empty_history(self):
-        assert predict_next_lambda([]) == 1.0
+        def counted_search(*args, **kwargs):
+            counts["searches"] += 1
+            searching[0] = True
+            try:
+                return search_fn(*args, **kwargs)
+            finally:
+                searching[0] = False
+
+        monkeypatch.setattr(smc, "ess", counted_ess)
+        monkeypatch.setattr(smc, "find_next_lambda", counted_search)
+        cfg = cfgmod.apply_overrides(cfgmod.preset(preset), overrides)
+        _, trace = run_smc(
+            cfgmod.build_smc_config(cfg, 0),
+            cfgmod.build_model(cfg),
+            cfgmod.build_summary(cfg),
+            cfgmod.build_distance(cfg),
+            cfgmod.build_observations(cfg, 0),
+        )
+        assert trace.status == "ok" and counts["searches"] == len(trace) > 1
+        assert counts["ess"] / counts["searches"] <= 5.0
 
 
 class TestUpdateLogZ:
@@ -484,6 +530,25 @@ class TestRunSMC:
         assert len(trace) < 150
         assert np.all(np.diff(trace.lambdas) < 0)
         assert trace.lambdas[-1] < 5.0 / 90
+
+    def test_advance_pushes_lambda_by_half_and_keeps_the_weights(self, monkeypatch):
+        search = smc.find_next_lambda
+        seen = []
+
+        def stalls_on_the_third_rung(system, *args):
+            seen.append(system.log_weights.copy())
+            if len(seen) == 3:
+                raise LadderStallError("forced")
+            return search(system, *args)
+
+        monkeypatch.setattr(smc, "find_next_lambda", stalls_on_the_third_rung)
+        model, summary, dist, obs = _toy_problem()
+        cfg = SMCConfig(n_particles=300, lambda_target=50.0, mcmc_steps=0, on_stall="advance", seed=0)
+        _, trace = run_smc(cfg, model, summary, dist, obs)
+        lams = trace.lambdas
+        assert trace.status == "ok" and lams[-1] == 50.0
+        assert lams[2] == 1.5 * lams[1] and np.all(np.diff(lams) > 0)
+        assert np.ptp(seen[3]) > 0.0  # the stalled step reweighted without resampling
 
     def test_sim_budget_stops_run(self):
         model, summary, dist, obs = _toy_problem()
@@ -661,7 +726,7 @@ class TestTraceAndSnapshots:
 class TestSamplerInvariants:
     """After every step of a run: log weights finite where alive, without NaN, and
     normalised; log Z never rises; no kernel weight increment is positive; each
-    non-final exponential rung meets the ESS target within the bisection
+    non-final exponential rung meets the ESS target within the search
     tolerance; and every eps rung lies strictly below the one before it."""
 
     @settings(max_examples=12, deadline=None)

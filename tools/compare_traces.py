@@ -44,6 +44,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # (name, preset, overrides): every ladder, kernel and M refresh the presets reach
 PRESET_RUNS = [
     ("toy-discrete", "toy-discrete", []),
+    # the enumerable model on the eps ladder: its summary.json carries the TV to the uniform-kernel posterior
+    (
+        "toy-discrete-uniform",
+        "toy-discrete",
+        ['smc.kernel="uniform"', "smc.eps_target=1", "smc.lambda_target=null", 'smc.on_stall="stop"'],
+    ),
     ("toy-quadrature", "toy-quadrature", []),
     (
         "toy-quadrature-uniform",
