@@ -68,6 +68,11 @@ class ABCPosteriorEstimator:
     def fit(self, y):
         if self.model is None or self.summary is None or self.distance is None:
             raise InvalidConfigError("model, summary, and distance must be set before fit")
+        if self.select_lambda:  # checked before the run, which these settings would waste
+            if self.kernel != "exponential":
+                raise InvalidConfigError("select_lambda requires the exponential kernel's lambda ladder")
+            if self.bound_constants is None:
+                raise InvalidConfigError("select_lambda requires bound_constants")
         settings = {name: getattr(self, name) for name in _SMC_DEFAULTS}
         settings["store_snapshots"] = self.store_snapshots or self.select_lambda
         system, trace = run_smc(SMCConfig(**settings), self.model, self.summary, self.distance, y)
@@ -76,8 +81,6 @@ class ABCPosteriorEstimator:
         self.log_z_ = system.log_z
         self.lambda_ = system.lam
         if self.select_lambda:
-            if self.bound_constants is None:
-                raise InvalidConfigError("select_lambda requires bound_constants")
             self.lambda_, self.bound_report_ = adaptive_select_lambda(
                 trace, self.bound_constants, distance_kind=self.distance.kind
             )

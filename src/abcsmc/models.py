@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
-from .statistics import beside, distance_batch, row_blocks, summarize, summarize_batch, wait
+from .statistics import beside, distance_batch, helper, row_blocks, rows_per_block, summarize, summarize_batch, wait
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,9 +86,15 @@ class MixtureModel(GenerativeModel):
         the generator is consumed exactly as by one-shot draws of the full
         shape and the block size never changes a value.  Each observation is
         mu + s*z with (mu, s) of the label's component, applied in place.
-        That affine map draws no random numbers: the map of each block but
-        the last may run on the helper thread (``statistics.helper``) while
-        this thread draws the next block, with the same bits either way.
+
+        With a helper thread (``statistics.helper``), the affine map of each
+        block but the last runs on it while this thread draws the next
+        normals.  If ``rng`` can also jump exactly (``_labels_can_jump``),
+        the helper first draws the labels from a copy of ``rng``'s state,
+        while ``rng`` jumps past the B*m*n uniforms and this thread draws
+        only the normals.  Otherwise this thread draws the labels first.
+        Either way every value and ``rng``'s final state are the same bits
+        as the one-shot draws.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
@@ -104,19 +110,40 @@ class MixtureModel(GenerativeModel):
             z += np.where(pick, mu1[b0:b1], mu2[b0:b1])
 
         blocks = list(row_blocks(thetas.shape[0], m * n))
-        for b0, b1 in blocks:
-            np.less(rng.random(out=out[b0:b1]), self.p, out=pick1[b0:b1])
-        pending = []
+        labels_rng = rng
+        if helper() is not None and _labels_can_jump(rng.bit_generator):
+            labels_rng = np.random.Generator(type(rng.bit_generator)())
+            labels_rng.bit_generator.state = rng.bit_generator.state
+            rng.bit_generator.advance(out.size)
+
+        def labels():
+            u = np.empty((min(len(out), rows_per_block(m * n)), m, n))  # one block of scratch, reused
+            for b0, b1 in blocks:
+                np.less(labels_rng.random(out=u[: b1 - b0]), self.p, out=pick1[b0:b1])
+
+        labels_task = beside(labels) if labels_rng is not rng else labels()  # None when drawn here
+        pending = [labels_task]
         try:
             for i, (b0, b1) in enumerate(blocks):
                 rng.standard_normal(out=out[b0:b1])
                 if i + 1 < len(blocks):
                     pending.append(beside(affine, b0, b1))
                 else:
+                    wait([labels_task])
                     affine(b0, b1)
         finally:
             wait(pending)
         return out
+
+
+def _labels_can_jump(bit_generator) -> bool:
+    """True when ``advance(k)`` skips exactly the k 64-bit outputs that k uniform doubles use.
+
+    That holds for PCG64 and PCG64DXSM (Philox's ``advance`` counts 4-word
+    blocks; MT19937 and SFC64 have none) when no 32-bit half is buffered,
+    since ``advance`` drops it.
+    """
+    return type(bit_generator) in (np.random.PCG64, np.random.PCG64DXSM) and not bit_generator.state["has_uint32"]
 
 
 class GaussianLocationModel(GenerativeModel):

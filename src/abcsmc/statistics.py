@@ -10,9 +10,9 @@ refresh correction of the sampler is built from, is derived from it as
 ``logsumexp(log_k(d, param), axis=-1)``; for the uniform kernel that is the
 log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
 
-The moment and indicator summaries, and the mixture simulator's affine map,
-can run part of their work on one helper thread (``beside``) while the
-calling thread works on the rest; see ``helper``.
+The moment and indicator summaries, and the mixture simulator's labels and
+affine map, can run part of their work on one helper thread (``beside``)
+while the calling thread works on the rest; see ``helper``.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ def helper():
 
     It is used only when this process may run on at least 2 CPUs, and it is
     started on first use (``concurrent.futures`` is imported then, not with
-    the package).  A forked child starts its own.  Work given to it uses no
-    random numbers, so every result is the same bits with or without it.
+    the package).  A forked child starts its own.  Its tasks give the same
+    bits with or without it: the summaries and the affine map use no random
+    numbers, and the mixture's labels are drawn from a private copy of the
+    caller's generator, which jumps past them exactly
+    (``models.MixtureModel.simulate_batch``).
     """
     global _use_helper, _helper_pool
     if _use_helper is None:
@@ -213,8 +216,10 @@ def _feature_means(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
 
     The clipped data and its powers live in block-sized buffers that are
     reused for every block, so no full-size temporary is built and the
-    caller's array is never written.  Each feature is the ``.mean`` of the
-    same values as the one-shot formula, so the result is the same bits.
+    caller's array is never written.  Each feature is ``np.add.reduce(v) / n``
+    of the same values as the one-shot formula's ``v.mean()``, which is that
+    sum divided by n, and each indicator mean is its exact count over n, so
+    the result is the same bits.
     When the rows fill more than one block, the helper thread takes the
     first half of them and the calling thread the rest, each with its own
     buffers; a row's features do not depend on the rows beside it.
@@ -247,15 +252,15 @@ def _fill_features(spec: SummarySpec, rows: np.ndarray, feats: np.ndarray):
             x = np.clip(x, *spec.clamp, out=x_buf[:k])
         if spec.kind == "indicator_grid":
             for j, t in enumerate(spec.thresholds):
-                out[:, j] = np.less(x, t, out=flag).mean(axis=-1)
+                out[:, j] = np.count_nonzero(np.less(x, t, out=flag), axis=-1) / n
         else:
             x2 = np.multiply(x, x, out=x2_buf[:k])
-            out[:, 0] = x.mean(axis=-1)
-            out[:, 1] = x2.mean(axis=-1)
-            out[:, 2] = np.multiply(x2, x, out=xk_buf[:k]).mean(axis=-1)
-            out[:, 3] = np.multiply(x2, x2, out=xk_buf[:k]).mean(axis=-1)
-            out[:, 4] = np.less(x, -1.0, out=flag).mean(axis=-1)
-            out[:, 5] = np.greater(x, 2.0, out=flag).mean(axis=-1)
+            out[:, 0] = np.add.reduce(x, axis=-1) / n
+            out[:, 1] = np.add.reduce(x2, axis=-1) / n
+            out[:, 2] = np.add.reduce(np.multiply(x2, x, out=xk_buf[:k]), axis=-1) / n
+            out[:, 3] = np.add.reduce(np.multiply(x2, x2, out=xk_buf[:k]), axis=-1) / n
+            out[:, 4] = np.count_nonzero(np.less(x, -1.0, out=flag), axis=-1) / n
+            out[:, 5] = np.count_nonzero(np.greater(x, 2.0, out=flag), axis=-1) / n
 
 
 @dataclass(frozen=True)

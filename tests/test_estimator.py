@@ -1,8 +1,10 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from abcsmc import smc
 from abcsmc.bounds import BoundConstants
 from abcsmc.estimator import ABCPosteriorEstimator
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError
@@ -132,6 +134,22 @@ class TestBandwidthSelection:
         est = _gaussian_estimator(select_lambda=True)
         with pytest.raises(InvalidConfigError):
             est.fit(rng.normal(size=50))
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(bound_constants=None),
+            dict(kernel="uniform", eps_target=0.05, lambda_target=None),  # no lambda ladder to select on
+        ],
+        ids=["no-constants", "uniform-kernel"],
+    )
+    def test_bad_selection_settings_fail_before_simulating(self, rng, settings):
+        constants = BoundConstants(n=50, m=1, p=2, K=1.0, d=1, theta_var=4.0)
+        est = _gaussian_estimator(select_lambda=True, **{"bound_constants": constants, **settings})
+        with mock.patch.object(smc, "simulate_distances", wraps=smc.simulate_distances) as sim:
+            with pytest.raises(InvalidConfigError, match="select_lambda"):
+                est.fit(rng.normal(size=50))
+        assert sim.call_count == 0
 
 
 class TestPosteriorAt:

@@ -1,6 +1,7 @@
 """The helper thread changes no bit: the mixture simulator and the moment and
 indicator summaries give the same arrays, and leave the generator in the same
-state, whether their work is split with the helper thread or not."""
+state, whether their work is split with the helper thread or not, and whether
+the mixture's labels come from a jumped copy of the generator or not."""
 
 import os
 import pickle
@@ -54,6 +55,32 @@ def test_mixture_draws_same_bits_and_stream(monkeypatch, b):
     on, state_on = simulate(monkeypatch, True, b)
     assert np.array_equal(on, off)
     assert state_on == state_off
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+@pytest.mark.parametrize("float32_first", [False, True], ids=["aligned", "half-buffered"])
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"])
+def test_mixture_labels_on_any_generator_equal_one_shot_draws(monkeypatch, bit_generator, float32_first, on):
+    """Uniforms then normals from one generator, whether or not the labels take the jumped copy.
+
+    A float32 draw first leaves a buffered 32-bit half, which ``advance``
+    would drop, so the generator's next float32 and normals are checked too.
+    """
+    with_helper(monkeypatch, on)
+    b = 2 * ROWS + 7
+    thetas = particles(b)
+    rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(11)) for _ in range(2))
+    if float32_first:
+        rng.random(dtype=np.float32)
+        ref.random(dtype=np.float32)
+    out = MixtureModel(p=0.7).simulate_batch(thetas, N_OBS, M, rng)
+    u = ref.random((b, M, N_OBS))
+    z = ref.standard_normal((b, M, N_OBS))
+    mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
+    mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
+    assert np.array_equal(out, np.where(u < 0.7, mu1 + s1 * z, mu2 + s2 * z))
+    assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+    assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-clamp{s.clamp is not None}-norm{s.normalize}")

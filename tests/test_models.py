@@ -66,13 +66,15 @@ class TestMixtureModel:
     def test_blocked_draws_equal_one_shot_formula(self, rng, b, m, n):
         model = MixtureModel(p=0.7)
         thetas = model.prior_sample(rng, b)
-        out = model.simulate_batch(thetas, n, m, np.random.default_rng(42))
+        sim_rng = np.random.default_rng(42)
+        out = model.simulate_batch(thetas, n, m, sim_rng)
         naive_rng = np.random.default_rng(42)
         mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
         mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
         u = naive_rng.random((b, m, n))
         z = naive_rng.normal(size=(b, m, n))
         assert np.array_equal(out, np.where(u < 0.7, mu1 + s1 * z, mu2 + s2 * z))
+        assert sim_rng.bit_generator.state == naive_rng.bit_generator.state
 
     def test_bad_parameters(self, rng):
         model = MixtureModel()

@@ -159,6 +159,25 @@ class TestBlockedSummaries:
         assert np.array_equal(out, expected)
         assert np.array_equal(data, before)  # the caller's array is not written
 
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_non_finite_rows_equal_one_shot_formula(self, rng, spec):
+        """NaN, +-inf and -0.0 entries: the sums, counts and their signs match ``.mean`` bit for bit."""
+        data = 2.0 * rng.standard_normal((40, 25, 90))
+        data[0, :, 3] = np.nan
+        data[1, :, 5] = np.inf
+        data[2, :, 7] = -np.inf
+        data[3, :, 1], data[3, :, 2] = np.inf, -np.inf  # inf - inf: a NaN sum
+        data[4] = -0.0  # the sums keep their sign
+        data[5, ::2, ::3] = -0.0
+        data[6, 1::2, 10:20] = np.nan
+        before = data.copy()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            out = summarize_batch(spec, data)
+            expected = one_shot_summaries(spec, before)
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert np.array_equal(data, before, equal_nan=True)
+
     def test_rows_per_block_boundary(self, rng):
         rows = rows_per_block(90)
         for n_rows in (rows - 1, rows, rows + 1, 2 * rows + 1):

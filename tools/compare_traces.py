@@ -11,6 +11,12 @@ both sides exit 0, both write ``trace.csv``, and both write the same files
 with the same bytes, except ``summary.json``'s ``wall_time_s``.  One line
 is printed per run.
 
+The ``mixture-adaptive-m`` workload then runs once more per checkout, in a
+child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
+the package starts no helper thread; both pinned runs must write the same
+bytes as the base's unpinned run.  Where the platform has no
+``sched_setaffinity`` this line reads ``skipped``.
+
 Then ``abcsmc experiment exp1|exp2|exp3 --seeds 7`` runs once per checkout,
 shrunk by ``EXPERIMENT_OVERRIDES``, and every CSV it writes is compared byte
 for byte: one line per file, with the largest relative difference of its
@@ -93,12 +99,26 @@ EXPERIMENTS = ["exp1", "exp2", "exp3"]
 EXPERIMENT_OVERRIDES = ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16", "smc.mcmc_steps=2"]
 
 
-def cli_once(checkout: Path, argv: list[str], out: Path) -> tuple[int, float]:
-    """One ``abcsmc`` command against the package in ``checkout``; returns (exit code, seconds)."""
+# the workload run again on one CPU, so without the helper thread
+PINNED_RUN = "mixture-adaptive-m"
+
+
+def cli_once(checkout: Path, argv: list[str], out: Path, one_cpu: bool = False) -> tuple[int, float]:
+    """One ``abcsmc`` command against the package in ``checkout``; returns (exit code, seconds).
+
+    With ``one_cpu`` the child is pinned to the lowest CPU it may run on.
+    """
     cmd = [sys.executable, "-m", "abcsmc.cli", *argv, "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    pin = None
+    if one_cpu:
+        cpu = min(os.sched_getaffinity(0))
+
+        def pin():  # runs in the child, between fork and exec
+            os.sched_setaffinity(0, {cpu})
+
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True)
+    proc = subprocess.run(cmd, env=env, cwd=out.parent, capture_output=True, text=True, preexec_fn=pin)
     return proc.returncode, time.perf_counter() - t0
 
 
@@ -186,6 +206,26 @@ def main(argv=None) -> int:
             flush=True,
         )
     print(f"{len(all_runs) - failed}/{len(all_runs)} runs identical at seed {SEED}")
+
+    name, args = next(run for run in all_runs if run[0] == PINNED_RUN)
+    pinned = f"{name}-1cpu"
+    if not hasattr(os, "sched_setaffinity"):
+        print(f"{'skipped':<24} {pinned}", flush=True)
+    else:
+        codes, secs = {}, {}
+        for side, checkout in checkouts.items():
+            out = work / side / pinned
+            out.mkdir(parents=True)
+            codes[side], secs[side] = cli_once(checkout, ["run", *args, "--seed", str(SEED)], out, one_cpu=True)
+        unpinned = work / "base" / name
+        result = verdict(codes, unpinned, work / "base" / pinned)
+        if result == "same":
+            result = verdict(codes, unpinned, work / "change" / pinned)
+        failed += result != "same"
+        print(
+            f"{result:<24} {pinned:<24} base {secs['base']:.1f} s  change {secs['change']:.1f} s",
+            flush=True,
+        )
 
     n_files = same_files = 0
     for name in EXPERIMENTS:
