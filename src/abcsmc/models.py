@@ -99,6 +99,8 @@ class MixtureModel(GenerativeModel):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
+        if m * n == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
+            return np.empty((thetas.shape[0], m, n))
         mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
         mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
         out = np.empty((thetas.shape[0], m, n))
@@ -194,9 +196,27 @@ class DiscreteToyModel(GenerativeModel):
     """Finite parameter atoms and a finite outcome alphabet; fully enumerable.
 
     ``likelihood`` has one row per theta atom and one column per dataset in
-    the lexicographic enumeration of obs_values^n; each row sums to 1 within
-    1e-12.  This model exists as a brute-force oracle substrate: every
-    pseudo-posterior quantity can be computed exactly by enumeration.
+    the lexicographic enumeration of obs_values^n; its entries and the prior
+    weights are nonnegative, and each sums to 1 within 1e-12.  This model
+    exists as a brute-force oracle substrate: every pseudo-posterior quantity
+    can be computed exactly by enumeration.
+
+    Two lookup tables, built once, replace a binary search per particle and
+    give ``np.searchsorted``'s indices bit for bit:
+
+    - Atoms: a value's position among the A sorted atoms (side "left",
+      clipped to the last atom) is the number of the first A - 1 sorted
+      atoms below it, counted in A - 1 compare-and-add passes.  The log
+      prior of each sorted atom is computed once (-inf at weight 0).
+    - Datasets: each atom's dataset CDF (D entries, nondecreasing since the
+      entries are nonnegative) has a guide table (Chen & Asau 1974; Devroye
+      1986, ch. III) of G buckets, G the power of two at or above 8 D, so
+      that a uniform's bucket floor(u G) is exact.  Bucket k stores the
+      number of CDF entries <= k / G and the entry after them; one compare
+      adds that entry if it is <= u.  A bucket that holds two entries or
+      more (at most D / 2 of the G, so at most one uniform in 16 on
+      average) sends its uniforms to ``np.searchsorted`` on its atom's CDF,
+      so no lookup costs more than O(log D) however the mass is spread.
     """
 
     param_dim = 1
@@ -210,6 +230,10 @@ class DiscreteToyModel(GenerativeModel):
         a, v = self.theta_values.size, self.obs_values.size
         if self.likelihood.shape != (a, v**self.n):
             raise InvalidConfigError("likelihood table has wrong shape")
+        if not np.all(self.prior_weights >= 0):
+            raise InvalidConfigError("prior weights must be nonnegative")
+        if not np.all(self.likelihood >= 0):
+            raise InvalidConfigError("likelihood entries must be nonnegative")
         if abs(self.prior_weights.sum() - 1.0) > 1e-12:
             raise InvalidConfigError("prior weights must sum to 1 within 1e-12")
         rows = self.likelihood.sum(axis=1)
@@ -217,9 +241,17 @@ class DiscreteToyModel(GenerativeModel):
             raise InvalidConfigError("each likelihood row must sum to 1 within 1e-12")
         self.theta_atoms = self.theta_values[:, None]
         self._datasets = np.array(list(itertools.product(self.obs_values, repeat=self.n)), dtype=float)
-        self._cum = np.cumsum(self.likelihood, axis=1)
+        # the atom tables follow the atoms' sorted order, the dataset tables the atoms' own order
         self._sort_order = np.argsort(self.theta_values)
         self._sorted_vals = self.theta_values[self._sort_order]
+        with np.errstate(divide="ignore"):
+            self._log_prior = np.log(self.prior_weights[self._sort_order])
+        self._cum = np.cumsum(self.likelihood, axis=1)
+        g = 1 << (8 * self._cum.shape[1] - 1).bit_length()
+        at_edges = np.array([np.searchsorted(row, np.arange(g + 1) / g, side="right") for row in self._cum])
+        self._guide = at_edges[:, :-1]  # the entries at or below each bucket's left edge
+        self._next = np.take_along_axis(np.hstack([self._cum, np.full((a, 1), np.inf)]), self._guide, axis=1)
+        self._crowded = np.diff(at_edges, axis=1) > 1  # buckets that hold two entries or more
 
     @classmethod
     def from_obs_probs(cls, theta_values, prior_weights, obs_values, obs_probs, n):
@@ -233,14 +265,20 @@ class DiscreteToyModel(GenerativeModel):
     def enumerate_datasets(self) -> np.ndarray:
         return self._datasets
 
+    def _positions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each value's sorted-atom position (``np.searchsorted`` side "left", clipped) and whether it is that atom."""
+        pos = np.zeros(values.shape, dtype=np.intp)
+        for atom in self._sorted_vals[:-1]:
+            pos += atom < values
+        return pos, self._sorted_vals.take(pos) == values
+
     def atom_index_batch(self, values: np.ndarray) -> np.ndarray:
+        """Each value's atom index; InvalidParameterError names the first value that is no atom."""
         values = np.asarray(values, dtype=float)
-        pos = np.searchsorted(self._sorted_vals, values)
-        pos_clipped = np.minimum(pos, self._sorted_vals.size - 1)
-        if not np.all(self._sorted_vals[pos_clipped] == values):
-            bad = values[self._sorted_vals[pos_clipped] != values]
-            raise InvalidParameterError(f"{bad[0]!r} is not a parameter atom")
-        return self._sort_order[pos_clipped]
+        pos, hit = self._positions(values)
+        if not hit.all():
+            raise InvalidParameterError(f"{values[~hit][0]!r} is not a parameter atom")
+        return self._sort_order.take(pos)
 
     def prior_sample(self, rng, size=None):
         k = rng.choice(self.theta_values.size, size=size, p=self.prior_weights)
@@ -248,30 +286,46 @@ class DiscreteToyModel(GenerativeModel):
 
     def prior_logpdf_batch(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        vals = thetas[:, 0]
-        pos = np.minimum(np.searchsorted(self._sorted_vals, vals), self._sorted_vals.size - 1)
-        out = np.full(vals.shape, -math.inf)
-        match = self._sorted_vals[pos] == vals
-        out[match] = np.log(self.prior_weights[self._sort_order[pos[match]]])
+        pos, hit = self._positions(thetas[:, 0])
+        out = self._log_prior.take(pos)
+        out[~hit] = -math.inf
         return out
 
     def simulate_batch(self, thetas, n, m, rng):
         """One uniform per replicate, mapped through its atom's dataset CDF; shape (B, m, n).
 
-        Each atom present writes its rows' dataset indices into one (B, m)
-        array, and the datasets are gathered from the table once.
+        ``atom_index_batch`` finds the rows' atoms, and raises
+        ``InvalidParameterError`` before any draw if a row is no atom.  The
+        B x m uniforms are drawn in one call, each is mapped to its dataset
+        index through its atom's guide table (``_dataset_index``), and the
+        datasets are gathered from the table once.
         """
         if n != self.n:
             raise InvalidConfigError(f"model is defined for datasets of size {self.n}")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         atoms = self.atom_index_batch(thetas[:, 0])
         u = rng.random((thetas.shape[0], m))
-        ds = np.empty(u.shape, dtype=np.intp)
-        for a in np.flatnonzero(np.bincount(atoms)):
-            rows = np.flatnonzero(atoms == a)
-            ds[rows] = np.searchsorted(self._cum[a], u[rows], side="right")
-        np.minimum(ds, self._datasets.shape[0] - 1, out=ds)
-        return self._datasets.take(ds, axis=0)
+        return self._datasets.take(self._dataset_index(atoms, u), axis=0)
+
+    def _dataset_index(self, atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, u, side="right")`` clamped to the last dataset, cdf that of each row's atom.
+
+        ``atoms`` holds each row's atom index and ``u`` its (B, m) uniforms.
+        The bucket floor(u G) of the atom's guide table gives the entries at
+        or below the bucket's left edge, one compare adds the next entry if
+        it is <= u, and the uniforms in a crowded bucket are searched.
+        """
+        g = self._guide.shape[1]
+        bucket = (u * g).astype(np.intp)  # floor(u G), exact since G is a power of two
+        bucket += (atoms * g)[:, None]
+        ds = self._guide.take(bucket)
+        ds += u >= self._next.take(bucket)
+        crowded = np.flatnonzero(self._crowded.take(bucket))
+        row_atom = atoms[crowded // u.shape[1]]
+        for a in np.flatnonzero(np.bincount(row_atom)):
+            at = crowded[row_atom == a]
+            ds.flat[at] = np.searchsorted(self._cum[a], u.flat[at], side="right")
+        return np.minimum(ds, self._cum.shape[1] - 1, out=ds)
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,17 @@ BAD_INPUTS = {
     "truth-n-not-a-number": (_run_override("toy-quadrature", 'truth.n="x"'), ["'truth'", "'n'"]),
     "smc-m-schedule-keys": (_run_override("toy-discrete", 'smc.m_schedule={"a":2}'), ["'smc'", "'m_schedule'"]),
     "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
+    # rows that sum to 1 but hold a negative entry: the likelihood table gets an entry of -0.24 at n=3
+    "model-negative-obs-prob": (
+        _run_override(
+            "toy-discrete",
+            "model.obs_probs=[[1.2,-0.2,0.0],[0.45,0.35,0.2],[0.25,0.5,0.25],[0.15,0.35,0.5],[0.05,0.25,0.7]]",
+        ),
+        ["likelihood entries", "nonnegative"],
+    ),
+    "model-negative-prior-weight": (
+        _run_override("toy-discrete", "model.prior_weights=[0.5,-0.1,0.3,0.2,0.1]"), ["prior weights", "nonnegative"]
+    ),
     "truth-not-an-object": (_run_override("toy-quadrature", "truth=[1]"), ["'truth'"]),
     "constants-unknown-key": (_bound_constants({**TestBound.CONSTANTS, "bogus": 1}), ["constants file", "'bogus'"]),
     "constants-array": (_bound_constants([1, 2]), ["constants file", "object"]),

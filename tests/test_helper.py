@@ -83,6 +83,17 @@ def test_mixture_labels_on_any_generator_equal_one_shot_draws(monkeypatch, bit_g
     assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
+@pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+@pytest.mark.parametrize("m,n", [(M, 0), (0, N_OBS)], ids=["n=0", "m=0"])
+def test_mixture_without_draws_is_empty_and_consumes_nothing(monkeypatch, on, m, n):
+    with_helper(monkeypatch, on)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    out = MixtureModel().simulate_batch(particles(5), n, m, rng)
+    assert out.shape == (5, m, n)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-clamp{s.clamp is not None}-norm{s.normalize}")
 @pytest.mark.parametrize("rows", SUMMARY_SIZES)
 def test_summary_same_bits(monkeypatch, spec, rows):

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from abcsmc.exceptions import InvalidConfigError, InvalidParameterError
@@ -31,6 +34,111 @@ def small_discrete_model():
         obs_probs=[[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]],
         n=2,
     )
+
+
+def searchsorted_atom_index(model, values):
+    """Atom indices by binary search: ``np.searchsorted`` side "left" into the sorted atoms, clipped."""
+    order = np.argsort(model.theta_values)
+    sorted_vals = model.theta_values[order]
+    pos = np.minimum(np.searchsorted(sorted_vals, values), sorted_vals.size - 1)
+    if not np.all(sorted_vals[pos] == values):
+        bad = values[sorted_vals[pos] != values]
+        raise InvalidParameterError(f"{bad[0]!r} is not a parameter atom")
+    return order[pos]
+
+
+def searchsorted_prior_logpdf(model, thetas):
+    """The log prior by binary search: log of the matched atom's weight, -inf off the atoms."""
+    vals = thetas[:, 0]
+    order = np.argsort(model.theta_values)
+    sorted_vals = model.theta_values[order]
+    pos = np.minimum(np.searchsorted(sorted_vals, vals), sorted_vals.size - 1)
+    out = np.full(vals.shape, -math.inf)
+    match = sorted_vals[pos] == vals
+    with np.errstate(divide="ignore"):
+        out[match] = np.log(model.prior_weights[order[pos[match]]])
+    return out
+
+
+def searchsorted_dataset_index(model, thetas, m, rng):
+    """Dataset indices by a binary search per atom: ``np.searchsorted`` side "right" into its CDF, clamped."""
+    atoms = searchsorted_atom_index(model, thetas[:, 0])
+    u = rng.random((thetas.shape[0], m))
+    cum = np.cumsum(model.likelihood, axis=1)
+    ds = np.empty(u.shape, dtype=np.intp)
+    for a in np.flatnonzero(np.bincount(atoms)):
+        rows = np.flatnonzero(atoms == a)
+        ds[rows] = np.searchsorted(cum[a], u[rows], side="right")
+    return np.minimum(ds, cum.shape[1] - 1)
+
+
+def dataset_indices(model, sims):
+    """The enumeration index of every simulated dataset (the enumerated datasets are distinct)."""
+    index = {tuple(d): i for i, d in enumerate(model.enumerate_datasets())}
+    return np.array([index[tuple(d)] for d in sims.reshape(-1, model.n)]).reshape(sims.shape[:2])
+
+
+class FixedUniforms:
+    """A stand-in generator whose one ``random`` call returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert tuple(size) == self.u.shape
+        return self.u.copy()
+
+
+def assert_lookups_equal_binary_search(model, thetas, m, make_rng):
+    """Atom indices, log prior, datasets and their indices, and the generator's end state match the references."""
+    assert np.array_equal(model.atom_index_batch(thetas[:, 0]), searchsorted_atom_index(model, thetas[:, 0]))
+    assert np.array_equal(model.prior_logpdf_batch(thetas), searchsorted_prior_logpdf(model, thetas))
+    rng, ref = make_rng(), make_rng()
+    got = model.simulate_batch(thetas, model.n, m, rng)
+    want = searchsorted_dataset_index(model, thetas, m, ref)
+    assert np.array_equal(dataset_indices(model, got), want)
+    assert np.array_equal(got, model.enumerate_datasets().take(want, axis=0))
+    if isinstance(rng, np.random.Generator):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def edge_uniforms(model):
+    """Uniforms on every CDF entry and every multiple of 2^-12, one ulp either side of each, 0 and the last below 1.
+
+    The multiples of 2^-12 hold the bucket edges of any guide table of at most 4096 buckets.
+    """
+    points = np.concatenate([np.cumsum(model.likelihood, axis=1).ravel(), np.arange(4097) / 4096])
+    u = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1), [0.0, np.nextafter(1.0, 0)]])
+    return np.unique(u[(u >= 0) & (u < 1)])
+
+
+def assert_edges_equal_binary_search(model, m):
+    """Every atom against every edge uniform, ``m`` to a row."""
+    u = edge_uniforms(model)
+    per_atom = -(-u.size // m)
+    thetas = np.repeat(model.theta_values, per_atom)[:, None]
+    uniforms = np.resize(u, (thetas.shape[0], m))
+    assert_lookups_equal_binary_search(model, thetas, m, lambda: FixedUniforms(uniforms))
+
+
+def unsorted_model_with_ties():
+    """Atoms out of sorted order; zero-probability outcomes give zero-probability datasets, so tied CDF entries."""
+    return DiscreteToyModel.from_obs_probs(
+        theta_values=[2.0, 0.0, 3.0, 1.0],
+        prior_weights=[0.25, 0.25, 0.5, 0.0],
+        obs_values=[0.0, 1.0, 2.0],
+        obs_probs=[[0.5, 0.0, 0.5], [0.1, 0.2, 0.7], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]],
+        n=2,
+    )
+
+
+def short_cdf_model():
+    """Atom 0's CDF ends below the largest uniform, 1 - 2^-53, by rounding."""
+    short = np.full(10, 0.1)
+    short[-1] = 0.1 - 4e-16
+    model = DiscreteToyModel([1.0, 0.0], [0.5, 0.5], np.arange(10.0), 1, [short, np.full(10, 0.1)])
+    assert np.cumsum(short)[-1] < np.nextafter(1.0, 0)
+    return model
 
 
 class TestMixtureModel:
@@ -230,6 +338,73 @@ class TestDiscreteToyModel:
                 want[i, j] = datasets[min(int(np.sum(cum <= u[i, j])), len(cum) - 1)]
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("make", [small_discrete_model, unsorted_model_with_ties, short_cdf_model])
+    def test_lookups_at_cdf_entries_and_bucket_edges_equal_binary_search(self, make, m):
+        assert_edges_equal_binary_search(make(), m)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("make", [small_discrete_model, unsorted_model_with_ties, short_cdf_model])
+    def test_lookups_on_a_generator_equal_binary_search(self, make, m):
+        model = make()
+        thetas = np.random.default_rng(4).choice(model.theta_values, size=(5000, 1))
+        assert_lookups_equal_binary_search(model, thetas, m, lambda: np.random.default_rng(9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lookups_on_random_tables_equal_binary_search(self, data):
+        a = data.draw(st.integers(1, 4), label="atoms")
+        v, n = data.draw(st.integers(1, 3), label="outcomes"), data.draw(st.integers(1, 3), label="n")
+        atoms = data.draw(st.lists(st.integers(-4, 4), min_size=a, max_size=a, unique=True), label="theta_values")
+        counts = data.draw(st.lists(st.integers(0, 4), min_size=a * v**n, max_size=a * v**n), label="counts")
+        counts = np.array(counts, dtype=float).reshape(a, v**n)
+        counts[:, 0] += counts.sum(axis=1) == 0  # every row has some mass
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=a, max_size=a), label="prior counts")
+        weights = np.array(weights, dtype=float) + (sum(weights) == 0)
+        model = DiscreteToyModel(
+            np.array(atoms, dtype=float), weights / weights.sum(), np.arange(v, dtype=float), n,
+            counts / counts.sum(axis=1, keepdims=True),
+        )
+        m = data.draw(st.integers(1, 3), label="m")
+        assert_edges_equal_binary_search(model, m)
+        thetas = np.random.default_rng(a * 100 + m).choice(model.theta_values, size=(300, 1))
+        assert_lookups_equal_binary_search(model, thetas, m, lambda: np.random.default_rng(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, -1.0, 7.0], ids=["nan", "between", "below", "above"])
+    def test_a_value_that_is_no_atom_raises_as_binary_search_does(self, bad):
+        model = unsorted_model_with_ties()
+        values = np.array([2.0, -0.0, bad, 1.0, bad])
+        with pytest.raises(InvalidParameterError) as want:
+            searchsorted_atom_index(model, values)
+        message = re.escape(str(want.value))
+        with pytest.raises(InvalidParameterError, match=message):
+            model.atom_index_batch(values)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=message):
+            model.simulate_batch(values[:, None], model.n, 1, rng)
+        assert rng.bit_generator.state == state  # the check comes before any draw
+        thetas = values[:, None]
+        assert np.array_equal(model.prior_logpdf_batch(thetas), searchsorted_prior_logpdf(model, thetas))
+
+    def test_minus_zero_is_the_zero_atom(self):
+        model = unsorted_model_with_ties()
+        thetas = np.array([[-0.0], [0.0], [3.0]])
+        assert model.atom_index_batch(thetas[:, 0]).tolist() == [1, 1, 2]
+        assert_lookups_equal_binary_search(model, thetas, 2, lambda: np.random.default_rng(3))
+
+    def test_zero_prior_weight_gives_minus_inf_without_a_warning(self):
+        # RuntimeWarnings are errors in this suite, so a log(0) warning would fail here
+        model = unsorted_model_with_ties()
+        assert model.prior_logpdf_batch(np.array([[1.0], [3.0]])).tolist() == [-math.inf, math.log(0.5)]
+
+    def test_negative_tables_are_refused(self):
+        with pytest.raises(InvalidConfigError, match="likelihood entries must be nonnegative"):
+            DiscreteToyModel.from_obs_probs([0.0], [1.0], [0.0, 1.0, 2.0], [[1.2, -0.2, 0.0]], 2)
+        with pytest.raises(InvalidConfigError, match="prior weights must be nonnegative"):
+            DiscreteToyModel.from_obs_probs([0.0, 1.0], [1.1, -0.1], [0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], 1)
+        with pytest.raises(InvalidConfigError, match="prior weights must be nonnegative"):
+            DiscreteToyModel.from_obs_probs([0.0, 1.0], [np.nan, 1.0], [0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], 1)
 
 
 class TestTruthGenerator:

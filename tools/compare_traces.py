@@ -56,6 +56,15 @@ PRESET_RUNS = [
         "toy-discrete",
         ['smc.kernel="uniform"', "smc.eps_target=1", "smc.lambda_target=null", 'smc.on_stall="stop"'],
     ),
+    # atoms out of sorted order, and a zero outcome probability, which gives tied dataset CDF entries
+    (
+        "toy-discrete-unsorted",
+        "toy-discrete",
+        [
+            "model.theta_values=[3.0,0.0,4.0,1.0,2.0]",
+            "model.obs_probs=[[0.7,0.3,0.0],[0.45,0.35,0.2],[0.25,0.5,0.25],[0.15,0.35,0.5],[0.05,0.25,0.7]]",
+        ],
+    ),
     ("toy-quadrature", "toy-quadrature", []),
     (
         "toy-quadrature-uniform",
