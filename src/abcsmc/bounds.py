@@ -161,6 +161,26 @@ def adaptive_objective(beta: float, log_z_at, constants: BoundConstants, distanc
     )
 
 
+def adaptive_objectives(trace, constants: BoundConstants, beta_grid=None, distance_kind: str = "lp"):
+    """The feasible betas of the grid and the averaged bound at each.
+
+    A beta is feasible when it exceeds alpha and 1/beta lies on the ladder,
+    to 1e-12: a ladder end whose 1/(1/lambda) does not round-trip stays in.
+    The default grid is 64 log-spaced betas spanning the ladder's range.
+    """
+    log_z_at, lam_lo, lam_hi = _log_z_interpolator(trace)
+    if beta_grid is None:
+        beta_grid = np.geomspace(1.0 / lam_hi, 1.0 / lam_lo, 64)
+    feasible = [
+        float(b)
+        for b in np.asarray(beta_grid, dtype=float)
+        if b > constants.alpha and lam_lo - 1e-12 <= 1.0 / b <= lam_hi + 1e-12
+    ]
+    if not feasible:
+        raise InvalidConfigError("no beta in the grid is feasible (beta > alpha, 1/beta on the ladder)")
+    return feasible, [adaptive_objective(b, log_z_at, constants, distance_kind) for b in feasible]
+
+
 def adaptive_select_lambda(
     trace,
     constants: BoundConstants,
@@ -169,26 +189,15 @@ def adaptive_select_lambda(
 ) -> tuple[float, BoundReport]:
     """Bandwidth selection: minimize the averaged bound over a beta grid.
 
-    Returns (lambda_hat, report) with lambda_hat = 1 / argmin(beta); final
-    inference should reweight the stored population snapshot nearest
-    lambda_hat.  The default grid is 64 log-spaced betas spanning the
-    ladder's feasible range.
+    Returns (lambda_hat, report) with lambda_hat = 1 / argmin(beta) over
+    ``adaptive_objectives``; final inference should reweight the stored
+    population snapshot nearest lambda_hat.
     """
-    log_z_at, lam_lo, lam_hi = _log_z_interpolator(trace)
-    if beta_grid is None:
-        beta_grid = np.geomspace(1.0 / lam_hi, 1.0 / lam_lo, 64)
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    feasible = [
-        float(b)
-        for b in beta_grid
-        if b > constants.alpha and lam_lo - 1e-12 <= 1.0 / b <= lam_hi + 1e-12
-    ]
-    if not feasible:
-        raise InvalidConfigError("no beta in the grid is feasible (beta > alpha, 1/beta on the ladder)")
-    values = [adaptive_objective(b, log_z_at, constants, distance_kind) for b in feasible]
+    feasible, values = adaptive_objectives(trace, constants, beta_grid, distance_kind)
     i_star = int(np.argmin(values))
     beta_star = feasible[i_star]
     lam_hat = 1.0 / beta_star
+    log_z_at, _, _ = _log_z_interpolator(trace)
     f_coef = mcdiarmid_f(constants, 1.0, distance_kind)
     components = {
         "neg_log_z": -beta_star * log_z_at(lam_hat),

@@ -27,12 +27,11 @@ import numpy as np
 from . import config as cfgmod
 from .bounds import (
     BoundConstants,
-    adaptive_objective,
+    adaptive_objectives,
     adaptive_select_lambda,
     corollary1_terms,
     empirical_bound,
     nonparametric_rate,
-    _log_z_interpolator,
 )
 from .exceptions import (
     ABCSMCError,
@@ -42,7 +41,7 @@ from .exceptions import (
     LadderStallError,
 )
 from .models import DiscreteToyModel, enumerated_posterior
-from .smc import load_trace_csv, posterior_at_lambda, run_smc
+from .smc import fmt, load_trace_csv, posterior_at_lambda, run_smc
 from .statistics import KERNELS, summarize, summarize_batch
 
 
@@ -109,10 +108,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _g(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _tv_to_enumeration(model, summary, dist_spec, observations, system, kernel):
     """Total variation from the particle posterior over the atoms to enumeration under the run's
     kernel at its last rung; also the exact log Z."""
@@ -132,8 +127,8 @@ def _bound_table_rows(trace, constants, distance_kind):
     for rec in trace.records:
         report = empirical_bound(rec.log_z, rec.lam, constants, distance_kind)
         rows.append(
-            [rec.step, _g(rec.lam), _g(report.value)]
-            + [_g(report.components[k]) for k in ("neg_log_z", "concentration", "confidence")]
+            [rec.step, fmt(rec.lam), fmt(report.value)]
+            + [fmt(report.components[k]) for k in ("neg_log_z", "concentration", "confidence")]
         )
     return rows
 
@@ -219,7 +214,7 @@ def cmd_bound(args) -> int:
         _write_csv(
             path,
             ["n", "beta_smooth", "rate", "lambda_n", "c_n", "order_only"],
-            [[kw["n"], _g(kw["beta_smooth"]), _g(r.rate), _g(r.lambda_n), _g(r.c_n), r.order_only]],
+            [[kw["n"], fmt(kw["beta_smooth"]), fmt(r.rate), fmt(r.lambda_n), fmt(r.c_n), r.order_only]],
         )
         print(f"wrote {path}")
         return 0
@@ -228,8 +223,8 @@ def cmd_bound(args) -> int:
     if args.mode == "cor1":
         report = corollary1_terms(constants)
         header = ["lambda_star", "value"] + sorted(report.components)
-        row = [_g(report.lam_or_beta), _g(report.value)] + [
-            _g(report.components[k]) for k in sorted(report.components)
+        row = [fmt(report.lam_or_beta), fmt(report.value)] + [
+            fmt(report.components[k]) for k in sorted(report.components)
         ]
         _write_csv(path, header, [row])
         print(f"wrote {path}")
@@ -246,16 +241,11 @@ def cmd_bound(args) -> int:
         print(f"wrote {path}")
         return 0
 
-    # adaptive: full beta grid plus the selected row
-    log_z_at, lam_lo, lam_hi = _log_z_interpolator(trace)
-    grid = extras.get("beta_grid") or np.geomspace(1.0 / lam_hi, 1.0 / lam_lo, 64).tolist()
+    # adaptive: every feasible beta of the grid, the selected one marked
+    grid = extras.get("beta_grid") or None
     lam_hat, sel = adaptive_select_lambda(trace, constants, grid, distance_kind)
-    rows = []
-    for b in grid:
-        if b <= constants.alpha or not (lam_lo <= 1.0 / b <= lam_hi):
-            continue
-        value = adaptive_objective(float(b), log_z_at, constants, distance_kind)
-        rows.append([_g(b), _g(1.0 / b), _g(value), int(abs(1.0 / b - lam_hat) < 1e-15)])
+    betas, values = adaptive_objectives(trace, constants, grid, distance_kind)
+    rows = [[fmt(b), fmt(1.0 / b), fmt(v), int(b == sel.lam_or_beta)] for b, v in zip(betas, values)]
     _write_csv(path, ["beta", "lambda", "objective", "selected"], rows)
     print(f"wrote {path}; selected lambda_hat={lam_hat:.6g} (bound {sel.value:.6g})")
     return 0
@@ -358,10 +348,10 @@ def _experiment_toy(cfg, seeds, out, name):
     for seed in seeds:
         sd = _seed_dir(out, seed)
         model, summary, dist_spec, obs, system, trace = _run_variant(cfg, seed, sd, "main")
-        row = [seed, len(trace), _g(system.lam), _g(system.log_z), system.sim_calls]
+        row = [seed, len(trace), fmt(system.lam), fmt(system.log_z), system.sim_calls]
         if isinstance(model, DiscreteToyModel):
             tv, log_z_exact = _tv_to_enumeration(model, summary, dist_spec, obs, system, KERNELS[trace.kernel])
-            row += [_g(tv), _g(log_z_exact)]
+            row += [fmt(tv), fmt(log_z_exact)]
         else:
             row += ["", ""]
         rows.append(row)
@@ -388,11 +378,11 @@ def _experiment1(cfg, seeds, out, name):
         for tag, system in (("exponential", sys_exp), ("uniform", sys_uni)):
             err = np.abs(system.weighted_mean() - ref_mean)
             for j, e in enumerate(err):
-                err_rows.append([seed, tag, j + 1, _g(e)])
+                err_rows.append([seed, tag, j + 1, fmt(e)])
         _, _, _, _, _, tr_fix = _run_variant(cfg, seed, sd, "fixed_m1", adapt_m=False)
         for policy, trace in (("adaptive_m", tr_exp), ("fixed_m1", tr_fix)):
             for rec in trace.records:
-                acc_rows.append([seed, policy, rec.step, _g(rec.lam), _g(rec.accept_rate), rec.m])
+                acc_rows.append([seed, policy, rec.step, fmt(rec.lam), fmt(rec.accept_rate), rec.m])
     _write_csv(out / "errors.csv", ["seed", "estimator", "param", "abs_error"], err_rows)
     _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
     _write_csv(
@@ -407,6 +397,7 @@ def _experiment2(cfg, seeds, out, name):
     s_true = _truth_stats(cfg, summary)
     lam_fixed = cfg["smc"]["lambda_target"]
     mse_rows, spend_rows = [], []
+    bound_trace = None  # the trace of the first seed at the preset n, for the bound table
     for n in n_grid:
         for seed in seeds:
             sd = _seed_dir(out, seed)
@@ -417,6 +408,8 @@ def _experiment2(cfg, seeds, out, name):
             model, summ, dist_spec, obs, system, trace = _run_variant(
                 ncfg, seed, sd, f"fixed_n{n}", store_snapshots=True
             )
+            if bound_trace is None and seed == seeds[0] and int(n) == cfg["truth"]["n"]:
+                bound_trace = trace
             budget = system.sim_calls
             spend_rows.append(_spend_row(seed, f"fixed_n{n}", system, trace))
             estimators = {}
@@ -436,7 +429,7 @@ def _experiment2(cfg, seeds, out, name):
             estimators["uniform"] = s_uni
             for tag, s_hat in estimators.items():
                 mse = float(np.mean((s_hat - s_true) ** 2))
-                mse_rows.append([int(n), seed, tag, _g(mse), _g(lam_hat if tag == "adaptive_lambda" else lam_fixed)])
+                mse_rows.append([int(n), seed, tag, fmt(mse), fmt(lam_hat if tag == "adaptive_lambda" else lam_fixed)])
     _write_csv(out / "mse.csv", ["n", "seed", "estimator", "mse", "lambda"], mse_rows)
     _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
 
@@ -444,16 +437,15 @@ def _experiment2(cfg, seeds, out, name):
     for n in n_grid:
         for tag in ("fixed_lambda", "adaptive_lambda", "uniform"):
             vals = [float(r[3]) for r in mse_rows if r[0] == int(n) and r[2] == tag]
-            agg.append([int(n), tag, _g(pystats.median(vals)), _g(max(vals))])
+            agg.append([int(n), tag, fmt(pystats.median(vals)), fmt(max(vals))])
     _write_csv(out / "aggregate.csv", ["n", "estimator", "median_mse", "max_mse"], agg)
 
-    # bound-vs-lambda table from the first seed at the preset n
-    sd = _seed_dir(out, seeds[0])
-    cfg0 = json.loads(json.dumps(cfg))
-    _, _, dist_spec, _, _, trace = _run_variant(cfg0, seeds[0], sd, "bound_source")
+    # bound-vs-lambda table from the first seed at the preset n: that arm's run when n_grid holds it
+    if bound_trace is None:
+        _, _, dist_spec, _, _, bound_trace = _run_variant(cfg, seeds[0], _seed_dir(out, seeds[0]), "bound_source")
     constants = cfgmod.build_bound_constants(cfg)
     _write_csv(
-        out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(trace, constants, dist_spec.kind)
+        out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(bound_trace, constants, dist_spec.kind)
     )
 
 
@@ -477,13 +469,13 @@ def _experiment3(cfg, seeds, out, name):
             )
             errs = np.abs(s_hat - s_true)
             for t, e in zip(thresholds, errs):
-                err_rows.append([seed, tag, _g(t), _g(e)])
-            err_rows.append([seed, tag, "max", _g(errs.max())])
+                err_rows.append([seed, tag, fmt(t), fmt(e)])
+            err_rows.append([seed, tag, "max", fmt(errs.max())])
             density, _ = np.histogram(
                 np.clip(draws.ravel(), -5.0, 5.0), bins=bins, density=True
             )
             for k in range(101):
-                dens_rows.append([seed, tag, _g(bins[k]), _g(bins[k + 1]), _g(density[k])])
+                dens_rows.append([seed, tag, fmt(bins[k]), fmt(bins[k + 1]), fmt(density[k])])
     _write_csv(out / "stat_errors.csv", ["seed", "method", "threshold", "abs_error"], err_rows)
     _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
     _write_csv(

@@ -12,23 +12,23 @@ import numpy as np
 from .exceptions import InvalidInputError
 
 
-def calibrate(theta: np.ndarray, scale: float | None = None, ridge: float = 1e-10) -> np.ndarray:
+def calibrate(theta: np.ndarray) -> np.ndarray:
     """Random-walk proposal from the current (equally weighted) population.
 
-    Returns the lower Cholesky factor L of scale * (cov + ridge * I), with the
-    classic 2.38^2/d scale by default; the ridge is multiplied by ten until
-    the factorization succeeds, so a degenerate population still yields a
-    usable (if tiny) proposal.
+    Returns the lower Cholesky factor L of (2.38^2/d) * (cov + ridge * I),
+    the classic scale; the ridge starts at 1e-10 and is multiplied by ten
+    until the factorization succeeds, so a degenerate population still
+    yields a usable (if tiny) proposal.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] < 2:
         raise InvalidInputError("theta must be (N, d) with N >= 2")
     d = theta.shape[1]
-    scale = 2.38**2 / d if scale is None else scale
     cov = np.atleast_2d(np.cov(theta, rowvar=False))
+    ridge = 1e-10
     while True:
         try:
-            return np.linalg.cholesky(scale * (cov + ridge * np.eye(d)))
+            return np.linalg.cholesky(2.38**2 / d * (cov + ridge * np.eye(d)))
         except np.linalg.LinAlgError:
             ridge *= 10.0
             if ridge > 1e12:

@@ -29,12 +29,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GenerativeModel:
     """Interface: prior sampler/log-density over Theta plus a batch simulator.
 
+    Parameters are the rows of ``prior_sample``'s (size, d) draw; d is not declared apart.
     ``theta_atoms`` is None for continuous parameter spaces; discrete models
     set it to the finite list of admissible parameter values, which switches
     the MCMC rejuvenation kernel to a uniform atom proposal.
     """
 
-    param_dim: int = 0
     theta_atoms: np.ndarray | None = None
 
     def prior_sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -59,8 +59,6 @@ class MixtureModel(GenerativeModel):
     scale.  The prior is independent N(0, mu_prior_sd^2) on the means and
     N(0, logsigma_prior_sd^2) on the log standard deviations.
     """
-
-    param_dim = 4
 
     def __init__(self, p: float = 0.8, mu_prior_sd: float = 10.0, logsigma_prior_sd: float = 1.0):
         if not 0.0 < p < 1.0:
@@ -156,8 +154,6 @@ class GaussianLocationModel(GenerativeModel):
     for checking log-Z tracking and the empirical bound.
     """
 
-    param_dim = 1
-
     def __init__(self, prior_var: float = 1.0, noise_sd: float = 1.0):
         if prior_var <= 0 or noise_sd <= 0:
             raise InvalidConfigError("prior_var and noise_sd must be positive")
@@ -218,8 +214,6 @@ class DiscreteToyModel(GenerativeModel):
       average) sends its uniforms to ``np.searchsorted`` on its atom's CDF,
       so no lookup costs more than O(log D) however the mass is spread.
     """
-
-    param_dim = 1
 
     def __init__(self, theta_values, prior_weights, obs_values, n, likelihood):
         self.theta_values = np.asarray(theta_values, dtype=float)

@@ -43,6 +43,8 @@ from .statistics import (
 
 # Raw simulated values per chunk of simulate_distances: 160 MB of float64, however large M grows
 MAX_SIM_ELEMENTS = 20_000_000
+# Most snapshots a run with store_snapshots keeps (``_thin_snapshots``)
+SNAPSHOT_MAX = 200
 
 
 def simulate_distances(
@@ -363,10 +365,10 @@ class LadderTrace:
             w = csv.writer(fh)
             w.writerow(header)
             for r in self.records:
-                row = [r.step, _fmt(r.lam), _fmt(r.ess), _fmt(r.accept_rate), r.m, _fmt(r.log_z)]
-                row += [_fmt(x) for x in r.theta_mean]
-                row += [_fmt(x) for x in r.theta_sd]
-                row += [_fmt(r.ess_post_refresh)]
+                row = [r.step, fmt(r.lam), fmt(r.ess), fmt(r.accept_rate), r.m, fmt(r.log_z)]
+                row += [fmt(x) for x in r.theta_mean]
+                row += [fmt(x) for x in r.theta_sd]
+                row += [fmt(r.ess_post_refresh)]
                 w.writerow(row)
 
     def snapshots_to_csv(self, path):
@@ -381,10 +383,11 @@ class LadderTrace:
                 theta, _, log_w = r.snapshot
                 wts = np.exp(log_w)
                 for i in range(theta.shape[0]):
-                    w.writerow([r.step, i, _fmt(wts[i]), *[_fmt(x) for x in theta[i]]])
+                    w.writerow([r.step, i, fmt(wts[i]), *[fmt(x) for x in theta[i]]])
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A float as CSV text: 17 significant digits, which read back to the same float."""
     return format(float(x), ".17g")
 
 
@@ -418,25 +421,25 @@ def load_trace_csv(path) -> LadderTrace:
 
 @dataclass
 class SMCConfig:
-    """Inputs of the SMC driver, checked by ``validate`` (``run_smc`` calls it)."""
+    """Inputs of the SMC driver, checked by ``validate`` (``run_smc`` calls it).
+
+    Fixed, not set: M = 1 at the first draw, the 2.38^2/d proposal scale
+    (``mcmc.calibrate``), the lambda search's 1e-4 * N ESS tolerance and ``SNAPSHOT_MAX``.
+    """
 
     n_particles: int = 1000
     lambda_target: float | None = 60.0  # exponential kernel: required, the last rung; uniform: ignored
     tau: float = 0.9
     mcmc_steps: int = 3
-    proposal_scale: float | None = None  # default 2.38^2 / d
     accept_target: float = 0.1
     adapt_m: bool = True  # double M while MCMC acceptance < accept_target (exponential kernel)
     m_max: int = 128
     m_change: str = "gibbs"  # or "is"
-    initial_m: int = 1
-    bisect_tol: float = 1e-4  # lambda ladder only: Newton stops at |ESS - tau*N| <= bisect_tol * N
     kernel: str = "exponential"  # or "uniform"
     eps_target: float | None = None  # uniform kernel: required, the last rung of its eps ladder
     sim_budget: int | None = None  # simulator calls; checked at the start of each step
     max_steps: int = 10_000
     store_snapshots: bool = False
-    snapshot_max: int = 200
     seed: int = 0
     on_stall: str = "raise"  # or "stop" / "advance" (instrumented: lambda * 1.5, keep weights)
     m_schedule: dict[int, int] | None = None  # forced M per step, overrides adaptation
@@ -457,23 +460,19 @@ class SMCConfig:
             raise InvalidConfigError(f"unknown m_change {self.m_change!r}")
         if self.on_stall not in ("raise", "stop", "advance"):
             raise InvalidConfigError(f"unknown on_stall {self.on_stall!r}")
-        if self.initial_m < 1 or self.m_max < self.initial_m:
-            raise InvalidConfigError("need 1 <= initial_m <= m_max")
+        if self.m_max < 1:
+            raise InvalidConfigError("m_max must be >= 1")
+        if self.m_schedule and min(min(self.m_schedule), min(self.m_schedule.values())) < 1:
+            raise InvalidConfigError("m_schedule steps and counts must be >= 1")
         if self.mcmc_steps < 0:
             raise InvalidConfigError("mcmc_steps must be >= 0")
         return self
 
 
-def _init_system(config, model, simulate, rng) -> ParticleSystem:
-    theta = model.prior_sample(rng, config.n_particles)
-    return ParticleSystem(
-        theta=theta,
-        dists=simulate(theta, config.initial_m),
-        log_weights=np.full(config.n_particles, -math.log(config.n_particles)),
-        lam=KERNELS[config.kernel].start_param,
-        log_z=0.0,
-        sim_calls=config.n_particles * config.initial_m,
-    )
+def _prior_system(n: int, model, simulate, rng, lam: float) -> ParticleSystem:
+    """N equally weighted prior draws with one replicate each, at the ladder's start."""
+    theta = model.prior_sample(rng, n)
+    return ParticleSystem(theta, simulate(theta, 1), np.full(n, -math.log(n)), lam, log_z=0.0, sim_calls=n)
 
 
 def run_smc(
@@ -497,14 +496,13 @@ def run_smc(
     uniform = kernel is UniformKernel
 
     simulate = simulator(model, summary, dist_spec, observations, rng)
-    system = _init_system(config, model, simulate, rng)
+    n = config.n_particles
+    system = _prior_system(n, model, simulate, rng, kernel.start_param)
     trace = LadderTrace(kernel=kernel.name)
     if not uniform and config.lambda_target == 0.0:
         return system, trace
 
     stop = config.eps_target if uniform else config.lambda_target
-    n = config.n_particles
-    m = config.initial_m
 
     for step in range(1, config.max_steps + 1):
         if config.sim_budget is not None and system.sim_calls >= config.sim_budget:
@@ -512,7 +510,7 @@ def run_smc(
             break
         stalled = False
         try:
-            lam_new = find_next_lambda(system, config.tau, stop, config.bisect_tol, kernel)
+            lam_new = find_next_lambda(system, config.tau, stop, kernel=kernel)
         except LadderStallError as err:
             if config.on_stall != "advance" or uniform:
                 trace.status = "ladder_stall"
@@ -546,12 +544,13 @@ def run_smc(
             system.log_weights = np.full(n, -math.log(n))
 
         if config.mcmc_steps > 0:
-            chol = mcmc.calibrate(system.theta, config.proposal_scale) if model.theta_atoms is None else None
+            chol = mcmc.calibrate(system.theta) if model.theta_atoms is None else None
             accept_rate, sim_count = mcmc.rejuvenate(system, model, simulate, kernel, rng, chol, config.mcmc_steps)
             system.sim_calls += sim_count
         else:
             accept_rate = 1.0
 
+        m = system.m_replicates
         if config.m_schedule is not None:
             m_new = config.m_schedule.get(step, m)
         elif config.adapt_m and not uniform:
@@ -565,7 +564,6 @@ def run_smc(
                 sc = madapt.is_refresh_system(system, m_new, simulate, kernel)
                 system.normalize()
             system.sim_calls += sc
-            m = m_new
         ess_post = system.ess()
 
         snapshot = None
@@ -577,7 +575,7 @@ def run_smc(
                 lam=lam_new,
                 ess=ess_sel,
                 accept_rate=accept_rate,
-                m=m,
+                m=system.m_replicates,
                 log_z=system.log_z,
                 theta_mean=system.weighted_mean(),
                 theta_sd=system.weighted_sd(),
@@ -599,7 +597,7 @@ def run_smc(
         trace.status = "max_steps"
 
     if config.store_snapshots:
-        _thin_snapshots(trace, config.snapshot_max)
+        _thin_snapshots(trace, SNAPSHOT_MAX)
     return system, trace
 
 

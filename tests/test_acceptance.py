@@ -399,7 +399,7 @@ def test_criterion_10_is_refresh_degeneracy():
         model, summary, dist_spec, smc_cfg, obs = _build(c, seed)
         _, trace = run_smc(smc_cfg, model, summary, dist_spec, obs)
         ms = [r.m for r in trace.records]
-        first_change = next((i for i, m in enumerate(ms) if m != smc_cfg.initial_m), None)
+        first_change = next((i for i, m in enumerate(ms) if m != 1), None)
         if first_change is None:
             minima.append("none")
             continue

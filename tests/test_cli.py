@@ -158,6 +158,20 @@ def small_trace(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tail_trace(tmp_path_factory):
+    """A trace whose top rung is selected and does not round-trip: 1/(1/lambda) != lambda.
+
+    The observations lie in the prior's tail, so the averaged bound still
+    falls at the top of the ladder.
+    """
+    out = tmp_path_factory.mktemp("tail_trace")
+    argv = ["run", "--preset", "toy-quadrature", "--override", "smc.n_particles=500"]
+    argv += ["--override", "smc.lambda_target=23.837827716870166", "--override", "truth.means=[4.0,0.0]"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out / "trace.csv"
+
+
+@pytest.fixture(scope="module")
 def eps_run(tmp_path_factory):
     """Directory of a short uniform-kernel (eps ladder) run with a bound section."""
     out = tmp_path_factory.mktemp("eps_run")
@@ -202,13 +216,14 @@ class TestBound:
             expected = empirical_bound(rec.log_z, rec.lam, constants, "scaled_empirical_l2")
             assert float(row[2]) == pytest.approx(expected.value, rel=1e-12)
 
-    def test_adaptive_mode_selects_on_ladder(self, tmp_path, small_trace):
+    @pytest.mark.parametrize("trace_fixture", ["small_trace", "tail_trace"])
+    def test_adaptive_mode_selects_on_ladder(self, tmp_path, trace_fixture, request):
         cpath = self._constants_file(tmp_path, {"distance_kind": "scaled_empirical_l2"})
         rc = cli.main(
             [
                 "bound",
                 "--trace",
-                str(small_trace),
+                str(request.getfixturevalue(trace_fixture)),
                 "--constants",
                 str(cpath),
                 "--mode",
@@ -300,10 +315,18 @@ BAD_INPUTS = {
     "truth-unknown-key": (_run_override("toy-quadrature", "truth.bogus=1"), ["'truth'", "'bogus'"]),
     "bound-unknown-key": (_run_override("toy-quadrature", "bound.bogus=1"), ["'bound'", "'bogus'"]),
     "smc-stale-lambda-max": (_run_override("toy-discrete", "smc.lambda_max=50"), ["'smc'", "'lambda_max'"]),
+    # settings that became the constants every run uses
+    "smc-stale-initial-m": (_run_override("toy-discrete", "smc.initial_m=2"), ["'smc'", "'initial_m'"]),
+    "smc-stale-proposal-scale": (_run_override("toy-discrete", "smc.proposal_scale=0.5"), ["'smc'", "'proposal_scale'"]),
+    "smc-stale-bisect-tol": (_run_override("toy-discrete", "smc.bisect_tol=0.001"), ["'smc'", "'bisect_tol'"]),
+    "smc-stale-snapshot-max": (_run_override("toy-discrete", "smc.snapshot_max=3"), ["'smc'", "'snapshot_max'"]),
     "smc-tau-not-a-number": (_run_override("toy-discrete", 'smc.tau="x"'), ["'smc'", "'tau'"]),
     "bound-n-not-a-number": (_run_override("toy-quadrature", 'bound.n="x"'), ["'bound'", "'n'"]),
     "truth-n-not-a-number": (_run_override("toy-quadrature", 'truth.n="x"'), ["'truth'", "'n'"]),
     "smc-m-schedule-keys": (_run_override("toy-discrete", 'smc.m_schedule={"a":2}'), ["'smc'", "'m_schedule'"]),
+    # an M below 1 cannot be drawn: trace.csv would record it while each particle keeps one replicate
+    "smc-m-schedule-zero": (_run_override("toy-discrete", 'smc.m_schedule={"2":0}'), ["m_schedule", ">= 1"]),
+    "smc-m-schedule-negative": (_run_override("toy-discrete", 'smc.m_schedule={"2":-1}'), ["m_schedule", ">= 1"]),
     "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
     # rows that sum to 1 but hold a negative entry: the likelihood table gets an entry of -0.24 at n=3
     "model-negative-obs-prob": (
@@ -392,7 +415,9 @@ class TestExperiments:
             assert (tmp_path / "seed_0" / f"trace_{tag}.csv").exists()
         _check_spend(tmp_path, ["exponential", "uniform"])
 
-    def test_exp2_artifacts(self, tmp_path):
+    # the bound table comes from the first seed at the preset n (90): its fixed arm when the grid holds 90
+    @pytest.mark.parametrize("n,source", [(30, "bound_source"), (90, "fixed_n90")])
+    def test_exp2_artifacts(self, tmp_path, n, source):
         rc = cli.main(
             [
                 "experiment",
@@ -400,7 +425,7 @@ class TestExperiments:
                 "--seeds",
                 "0",
                 "--override",
-                "n_grid=[30]",
+                f"n_grid=[{n}]",
                 "--override",
                 "smc.n_particles=60",
                 "--override",
@@ -424,7 +449,11 @@ class TestExperiments:
         assert len(agg) == 4
         bound = _read_csv(tmp_path / "bound_table.csv")
         assert bound[0][0] == "step" and len(bound) > 1
-        _check_spend(tmp_path, ["fixed_n30", "uniform_n30"])
+        traces = sorted(p.name for p in (tmp_path / "seed_0").glob("trace_*.csv"))
+        assert traces == sorted({f"trace_fixed_n{n}.csv", f"trace_uniform_n{n}.csv", f"trace_{source}.csv"})
+        ladder = _read_csv(tmp_path / "seed_0" / f"trace_{source}.csv")
+        assert [r[:2] for r in bound[1:]] == [r[:2] for r in ladder[1:]]
+        _check_spend(tmp_path, [f"fixed_n{n}", f"uniform_n{n}"])
 
     def test_exp3_artifacts(self, tmp_path):
         rc = cli.main(

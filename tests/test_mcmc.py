@@ -19,11 +19,6 @@ class TestCalibrate:
         cov_hat = chol @ chol.T / (2.38**2 / 2)
         np.testing.assert_allclose(cov_hat, np.cov(theta, rowvar=False), atol=1e-8)
 
-    def test_explicit_scale(self, rng):
-        theta = rng.normal(size=(100, 3))
-        chol = calibrate(theta, scale=0.5)
-        np.testing.assert_allclose(chol @ chol.T / 0.5, np.cov(theta, rowvar=False), atol=1e-8)
-
     def test_degenerate_population_gets_ridge(self):
         theta = np.zeros((50, 2))  # zero covariance
         chol = calibrate(theta)

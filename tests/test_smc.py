@@ -23,6 +23,7 @@ from abcsmc.smc import (
     ParticleSystem,
     SMCConfig,
     UniformKernel,
+    _thin_snapshots,
     ess,
     find_next_lambda,
     load_trace_csv,
@@ -535,11 +536,11 @@ class TestRunSMC:
         search = smc.find_next_lambda
         seen = []
 
-        def stalls_on_the_third_rung(system, *args):
+        def stalls_on_the_third_rung(system, *args, **kwargs):
             seen.append(system.log_weights.copy())
             if len(seen) == 3:
                 raise LadderStallError("forced")
-            return search(system, *args)
+            return search(system, *args, **kwargs)
 
         monkeypatch.setattr(smc, "find_next_lambda", stalls_on_the_third_rung)
         model, summary, dist, obs = _toy_problem()
@@ -572,6 +573,12 @@ class TestRunSMC:
             SMCConfig(on_stall="bogus").validate()
         for mode in ("raise", "stop", "advance"):
             SMCConfig(on_stall=mode).validate()
+        with pytest.raises(InvalidConfigError):
+            SMCConfig(m_max=0).validate()
+        for schedule in ({2: 0}, {2: -1}, {0: 2}):
+            with pytest.raises(InvalidConfigError, match="m_schedule"):
+                SMCConfig(m_schedule=schedule).validate()
+        SMCConfig(m_schedule={2: 256}).validate()  # a scheduled M may exceed m_max
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_observations_rejected(self, bad):
@@ -581,11 +588,12 @@ class TestRunSMC:
         with pytest.raises(InvalidInputError):
             run_smc(cfg, GaussianLocationModel(), SummarySpec(kind="mean"), DistanceSpec(), obs)
 
-    @pytest.mark.parametrize("change,schedule", [("gibbs", {2: 1}), ("is", {2: 3})])
+    @pytest.mark.parametrize("change,schedule", [("gibbs", {1: 2, 2: 1}), ("is", {1: 2, 2: 3})])
     def test_uniform_kernel_m_change_respects_the_window(self, change, schedule):
-        # M changes at step 2 under the uniform kernel: the Gibbs refresh keeps
-        # a replicate inside eps, and the IS correction zeroes exactly the
-        # particles whose fresh replicates all fall outside it.  The zeroed
+        # M goes to 2 at step 1 and changes again at step 2 under the uniform
+        # kernel: the Gibbs refresh keeps a replicate inside eps, and the IS
+        # correction zeroes exactly the particles whose fresh replicates all
+        # fall outside it.  The zeroed
         # particles stay at weight zero on the later rungs, so the run reaches
         # eps_target with a finite log Z
         obs = np.random.default_rng(1).normal(0.5, 1.0, size=20)
@@ -595,7 +603,6 @@ class TestRunSMC:
             eps_target=0.01,
             lambda_target=None,
             tau=0.5,
-            initial_m=2,
             m_schedule=schedule,
             m_change=change,
             store_snapshots=True,
@@ -710,10 +717,10 @@ class TestTraceAndSnapshots:
 
     def test_snapshot_thinning_keeps_final(self):
         model, summary, dist, obs = _toy_problem()
-        cfg = SMCConfig(
-            n_particles=100, lambda_target=6.0, store_snapshots=True, snapshot_max=3, seed=3
-        )
+        cfg = SMCConfig(n_particles=100, lambda_target=6.0, store_snapshots=True, seed=3)
         _, trace = run_smc(cfg, model, summary, dist, obs)
+        assert sum(r.snapshot is not None for r in trace.records) == len(trace.records) > 3
+        _thin_snapshots(trace, 3)
         with_snap = [r for r in trace.records if r.snapshot is not None]
         assert 1 <= len(with_snap) <= 3
         assert trace.records[-1].snapshot is not None
@@ -780,6 +787,6 @@ class TestSamplerInvariants:
         assert np.all(np.diff(log_z) <= 0.0)
         if kernel == "exponential":
             for r in records[:-1]:
-                assert abs(r.ess - smc_cfg.tau * 200) <= smc_cfg.bisect_tol * 200
+                assert abs(r.ess - smc_cfg.tau * 200) <= 1e-4 * 200
         else:
             assert np.all(np.diff([r.lam for r in records]) < 0.0)
