@@ -196,12 +196,27 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (not a boolean)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_bound(args) -> int:
     doc = cfgmod.read_json(args.constants)
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"constants file {args.constants} must hold an object")
     distance_kind = doc.pop("distance_kind", "lp")
     extras = {k: doc.pop(k) for k in ("beta_grid", "beta_smooth") if k in doc}
+    grid = extras.get("beta_grid", [])
+    if not (isinstance(grid, list) and all(_is_number(b) and 0 < b < np.inf for b in grid)):
+        raise InvalidConfigError(
+            f"key 'beta_grid' in constants file {args.constants} must be a list of finite positive numbers, "
+            f"not {grid!r}"
+        )
+    if "beta_smooth" in extras and not _is_number(extras["beta_smooth"]):
+        raise InvalidConfigError(
+            f"key 'beta_smooth' in constants file {args.constants} must be a number, not {extras['beta_smooth']!r}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"bound_{args.mode}.csv"
@@ -242,9 +257,8 @@ def cmd_bound(args) -> int:
         return 0
 
     # adaptive: every feasible beta of the grid, the selected one marked
-    grid = extras.get("beta_grid") or None
-    lam_hat, sel = adaptive_select_lambda(trace, constants, grid, distance_kind)
-    betas, values = adaptive_objectives(trace, constants, grid, distance_kind)
+    lam_hat, sel = adaptive_select_lambda(trace, constants, grid or None, distance_kind)
+    betas, values = adaptive_objectives(trace, constants, grid or None, distance_kind)
     rows = [[fmt(b), fmt(1.0 / b), fmt(v), int(b == sel.lam_or_beta)] for b, v in zip(betas, values)]
     _write_csv(path, ["beta", "lambda", "objective", "selected"], rows)
     print(f"wrote {path}; selected lambda_hat={lam_hat:.6g} (bound {sel.value:.6g})")

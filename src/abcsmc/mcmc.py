@@ -55,7 +55,10 @@ def rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
     from ``calibrate``; discrete models (theta_atoms set) use a symmetric uniform
     proposal over the atoms.  ``simulate(theta, m)`` gives each proposal its
     m fresh replicate distances (the run's ``smc.simulator``).  Acceptance
-    uses the standard rule log U < ``mh_log_ratio``.
+    uses the standard rule log U < ``mh_log_ratio``.  Each sweep finds the
+    accepted rows once (``np.flatnonzero``) and copies only those rows of the
+    proposal, its distances, prior log density and log kernel sum into the
+    current state.
     """
     n, m = system.dists.shape
     atoms = model.theta_atoms
@@ -70,10 +73,10 @@ def rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
         lp_prop = model.prior_logpdf_batch(prop)
         d_prop = simulate(prop, m)
         lk_prop = kernel.log_sum(d_prop, system.lam)
-        acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
-        np.copyto(system.theta, prop, where=acc[:, None])
-        np.copyto(system.dists, d_prop, where=acc[:, None])
-        np.copyto(log_prior, lp_prop, where=acc)
-        np.copyto(log_kern, lk_prop, where=acc)
-        accepts += int(acc.sum())
+        idx = np.flatnonzero(np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop))
+        system.theta[idx] = prop.take(idx, axis=0)
+        system.dists[idx] = d_prop.take(idx, axis=0)
+        log_prior[idx] = lp_prop.take(idx)
+        log_kern[idx] = lk_prop.take(idx)
+        accepts += idx.size
     return accepts / (n * k_steps), n * k_steps * m

@@ -202,16 +202,22 @@ def find_next_lambda(
     is already below it (by more than tol*N).  The eps rung is read off the
     sorted live distances (``_next_eps``); the lambda rung is a Newton root
     of log ESS - log(tau*N) whose ESS is within tol*N of tau*N (``_next_lambda``).
+    At equal finite weights, as after every resampling, the ESS is N and
+    cannot be below the target, so the eps search does not compute it (the
+    lambda search still does: its Newton start reads it).
     """
     n = system.n_particles
     target = tau * n
-    current = system.ess()
-    if current < target - tol * n:
-        raise LadderStallError(
-            f"ESS {current:.2f} already below target {target:.2f} at {kernel.name} ladder value {system.lam:g}"
-        )
-    if kernel is UniformKernel:
-        return _next_eps(system, target, cap)
+    uniform = kernel is UniformKernel
+    equal = uniform and np.min(system.log_weights) == np.max(system.log_weights) > -math.inf
+    if not equal:
+        current = system.ess()
+        if current < target - tol * n:
+            raise LadderStallError(
+                f"ESS {current:.2f} already below target {target:.2f} at {kernel.name} ladder value {system.lam:g}"
+            )
+    if uniform:
+        return _next_eps(system, target, cap, equal)
     return _next_lambda(system, target, cap, tol * n, current)
 
 
@@ -271,7 +277,7 @@ def _next_lambda(system: ParticleSystem, target: float, cap: float, tol: float, 
 _find_next_eps = find_next_lambda
 
 
-def _next_eps(system: ParticleSystem, target: float, cap: float) -> float:
+def _next_eps(system: ParticleSystem, target: float, cap: float, equal_weights: bool) -> float:
     """The eps rung from one sorted pass over the live replicate distances.
 
     Moving from eps_cur to eps gives particle i the weight a_i c_i(eps), where
@@ -287,7 +293,8 @@ def _next_eps(system: ParticleSystem, target: float, cap: float) -> float:
     meets it.  When that is eps_cur itself, the ladder steps anyway, to the
     next distinct live distance below eps_cur (its ESS is below the target;
     this is what keeps the ladder moving on tied distances), and raises
-    LadderStallError when there is none.
+    LadderStallError when there is none.  ``equal_weights`` says whether
+    every log weight is the same finite value (``find_next_lambda`` tests it).
     """
     eps_cur = system.lam
     log_w = system.log_weights
@@ -296,7 +303,7 @@ def _next_eps(system: ParticleSystem, target: float, cap: float) -> float:
     live = within & (rows < math.inf)
     # equal weights and one replicate, as after every resampling at M=1: both
     # cumulative sums at the k-th smallest live distance are k, and so is the ESS
-    equal = system.m_replicates == 1 and np.min(log_w) == np.max(log_w)
+    equal = equal_weights and system.m_replicates == 1
     if equal:
         d = np.sort(rows[live])
     else:

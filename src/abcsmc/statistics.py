@@ -293,17 +293,60 @@ def distance(spec: DistanceSpec, s1, s2) -> float:
 
 
 def distance_batch(spec: DistanceSpec, stats: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Distances of a batch of statistic vectors (..., m) to one observed vector."""
-    delta = np.abs(stats - observed)
-    if spec.kind == "sup":
-        return delta.max(axis=-1)
+    """Distances of a batch of statistic vectors (..., m) to one observed vector.
+
+    On a statistic axis shorter than 8 the distance is built one entry at a
+    time (``_column_total``): each |stats[..., j] - observed[j]|, squared or
+    raised to p in place, is added into (or, for ``sup``, maxed with) one
+    array of the batch's shape, which then takes the root and the scaling in
+    place, so no (..., m)-shaped temporary is made.  It has the same bits as
+    the one-shot ``np.abs(stats - observed)`` reduced over that axis: numpy
+    sums an axis of fewer than 8 entries left to right, the order of the
+    column adds, and a maximum does not depend on the order.  From 8 entries
+    on numpy sums pairwise, so longer axes keep the one-shot formula, and so
+    does a single vector: its one-shot result is a numpy scalar, whose power
+    (``p`` not 1 or 2) rounds differently from an array's.
+    """
+    k = stats.shape[-1]
+    if k >= 8 or stats.ndim == 1:
+        delta = np.abs(stats - observed)
+        if spec.kind == "sup":
+            return delta.max(axis=-1)
+        if spec.kind == "scaled_empirical_l2":
+            return np.sqrt((delta * delta).sum(axis=-1)) / k
+        if spec.p == 2.0:
+            return np.sqrt((delta * delta).sum(axis=-1))
+        if spec.p == 1.0:
+            return delta.sum(axis=-1)
+        return (delta**spec.p).sum(axis=-1) ** (1.0 / spec.p)
+    sup = spec.kind == "sup"
+    p = 2.0 if spec.kind == "scaled_empirical_l2" else spec.p
+    total = _column_total(stats, observed, p, sup)
+    if sup or p == 1.0:
+        return total
+    if p == 2.0:
+        np.sqrt(total, out=total)
+    else:
+        np.power(total, 1.0 / p, out=total)
     if spec.kind == "scaled_empirical_l2":
-        return np.sqrt((delta * delta).sum(axis=-1)) / delta.shape[-1]
-    if spec.p == 2.0:
-        return np.sqrt((delta * delta).sum(axis=-1))
-    if spec.p == 1.0:
-        return delta.sum(axis=-1)
-    return (delta**spec.p).sum(axis=-1) ** (1.0 / spec.p)
+        np.divide(total, k, out=total)
+    return total
+
+
+def _column_total(stats: np.ndarray, observed: np.ndarray, p: float, sup: bool) -> np.ndarray:
+    """The max (``sup``) or the sum of |stats[..., j] - observed[j]|^p over j, added up left to right."""
+    total = np.empty(stats.shape[:-1])
+    col = np.empty_like(total) if stats.shape[-1] > 1 else None
+    for j in range(stats.shape[-1]):
+        term = total if j == 0 else col
+        np.abs(np.subtract(stats[..., j], observed[j], out=term), out=term)
+        if p == 2.0 and not sup:
+            np.multiply(term, term, out=term)
+        elif p != 1.0 and not sup:
+            np.power(term, p, out=term)
+        if j:
+            (np.maximum if sup else np.add)(total, term, out=total)
+    return total
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:

@@ -297,11 +297,23 @@ def _run_without_obs_probs(tmp_path):
     return ["run", "--config", str(path), *TOY_FAST]
 
 
+# a three-rung lambda ladder, enough for the adaptive mode's default grid
+LADDER_CSV = """step,lambda,ess,accept_rate,M,log_z,theta_mean_1,theta_sd_1,ess_post_refresh
+0,0.5,90,0.3,1,-0.2,0,1,100
+1,2,90,0.3,1,-0.9,0,1,100
+2,6,90,0.3,1,-2.1,0,1,100
+"""
+
+
 def _bound_constants(doc, mode="cor1"):
     def argv(tmp_path):
         path = tmp_path / "constants.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        return ["bound", "--constants", str(path), "--mode", mode]
+        trace = []
+        if mode == "adaptive":
+            (tmp_path / "trace.csv").write_text(LADDER_CSV)
+            trace = ["--trace", str(tmp_path / "trace.csv")]
+        return ["bound", "--constants", str(path), "--mode", mode, *trace]
 
     return argv
 
@@ -348,6 +360,27 @@ BAD_INPUTS = {
     ),
     "nonparam-beta-smooth-not-a-number": (
         _bound_constants({"n": 50, "beta_smooth": "y"}, "nonparam"), ["constants file", "'beta_smooth'"]
+    ),
+    # refused before the trace is read, in every mode
+    **{
+        f"adaptive-beta-grid-{name}": (
+            _bound_constants({**TestBound.CONSTANTS, "beta_grid": grid}, "adaptive"),
+            ["constants file", "'beta_grid'"],
+        )
+        for name, grid in [
+            ("number", 0.5),
+            ("string", ["x"]),
+            ("negative", [0.5, -1.0]),
+            ("boolean", [True]),
+            ("infinite", [math.inf]),
+        ]
+    },
+    "adaptive-beta-smooth-not-a-number": (
+        _bound_constants({**TestBound.CONSTANTS, "beta_smooth": "y"}, "adaptive"),
+        ["constants file", "'beta_smooth'"],
+    ),
+    "cor1-beta-grid-number": (
+        _bound_constants({**TestBound.CONSTANTS, "beta_grid": 0.5}), ["constants file", "'beta_grid'"]
     ),
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from abcsmc.smc import ExponentialKernel, ParticleSystem, simulator
 from abcsmc.statistics import DistanceSpec, SummarySpec
 
 from test_models import small_discrete_model
+from test_statistics import assert_same_bits
 
 
 class TestCalibrate:
@@ -176,3 +178,78 @@ class TestRejuvenate:
         assert not np.array_equal(system.theta, theta)
         # never accepts a prior-impossible state; all thetas remain finite
         assert np.all(np.isfinite(system.theta))
+
+
+def copyto_rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
+    """``rejuvenate`` with a masked ``np.copyto`` per array: the reference for its indexed copy."""
+    n, m = system.dists.shape
+    atoms = model.theta_atoms
+    log_prior = model.prior_logpdf_batch(system.theta)
+    log_kern = kernel.log_sum(system.dists, system.lam)
+    accepts = 0
+    for _ in range(k_steps):
+        if atoms is not None:
+            prop = atoms[rng.integers(0, len(atoms), size=n)]
+        else:
+            prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
+        lp_prop = model.prior_logpdf_batch(prop)
+        d_prop = simulate(prop, m)
+        lk_prop = kernel.log_sum(d_prop, system.lam)
+        acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
+        np.copyto(system.theta, prop, where=acc[:, None])
+        np.copyto(system.dists, d_prop, where=acc[:, None])
+        np.copyto(log_prior, lp_prop, where=acc)
+        np.copyto(log_kern, lk_prop, where=acc)
+        accepts += int(acc.sum())
+    return accepts / (n * k_steps), n * k_steps * m
+
+
+def sweep_case(case, rng):
+    """(model, simulate, system, chol) of one ``rejuvenate`` case, built from ``rng``."""
+    n = 500
+    if case.startswith("gaussian"):
+        model = GaussianLocationModel()
+        summary, dist_spec = SummarySpec(kind="mean"), DistanceSpec(kind="lp", p=2)
+        m = 3 if case == "gaussian-m3" else 1
+    else:
+        model = small_discrete_model()
+        summary, dist_spec = SummarySpec(kind="identity"), DistanceSpec(kind="lp", p=1)
+        m = 1
+    obs = np.array([0.0, 1.0]) if model.theta_atoms is not None else rng.normal(0.5, 1.0, size=30)
+    simulate = simulator(model, summary, dist_spec, obs, rng)
+    if case == "all-rejected":  # no proposal has kernel mass
+        simulate = lambda theta, m: np.full((theta.shape[0], m), math.inf)  # noqa: E731
+    if case == "all-accepted":  # each sweep's proposals lie 100 closer than the states they would replace
+        calls = itertools.count()
+        simulate = lambda theta, m: np.full((theta.shape[0], m), 1e3 - 100.0 * next(calls))  # noqa: E731
+    theta = model.prior_sample(rng, n)
+    dists = simulate(theta, m)
+    system = ParticleSystem(
+        theta=theta, dists=dists, log_weights=np.full(n, -math.log(n)), lam=1.5, log_z=0.0
+    )
+    chol = None if model.theta_atoms is not None else calibrate(theta)
+    return model, simulate, system, chol
+
+
+class TestIndexedCopy:
+    @pytest.mark.parametrize(
+        "case", ["gaussian-m1", "gaussian-m3", "discrete", "all-rejected", "all-accepted"]
+    )
+    def test_matches_the_masked_copy_sweep(self, case):
+        ends = []
+        for sweep in (rejuvenate, copyto_rejuvenate):
+            rng = np.random.default_rng(2024)
+            model, simulate, system, chol = sweep_case(case, rng)
+            result = sweep(system, model, simulate, ExponentialKernel, rng, chol, 4)
+            ends.append((system.theta, system.dists, result, rng.bit_generator.state))
+        (theta, dists, result, state), (ref_theta, ref_dists, ref_result, ref_state) = ends
+        assert_same_bits(theta, ref_theta)
+        assert_same_bits(dists, ref_dists)
+        assert result == ref_result
+        assert state == ref_state
+        if case == "all-rejected":
+            assert result[0] == 0.0
+        elif case == "all-accepted":
+            assert result[0] == 1.0
+        else:
+            assert 0.0 < result[0] < 1.0

@@ -243,6 +243,30 @@ class TestFindNextLambda:
             with pytest.raises(LadderStallError):
                 find_next_lambda(system, 0.9, cap, kernel=kernel)
 
+    def test_uniform_stall_check_skips_the_ess_at_equal_weights_only(self):
+        # equal finite weights have ESS N, which meets any target: the eps search
+        # does not compute it.  Weights that are not all equal are still checked:
+        # one zero weight among nine equal ones (ESS 9), and one weight set apart
+        equal = np.full(10, -math.log(10))
+        one_zero = equal.copy()
+        one_zero[0] = -math.inf
+        apart = equal.copy()
+        apart[0] = 5.0
+        for m in (1, 3):
+            dists = np.tile(np.arange(1.0, 11.0)[:, None], (1, m))
+
+            def next_eps(log_w, tau):
+                return find_next_lambda(make_system(dists, math.inf, log_w), tau, 0.0, kernel=UniformKernel)
+
+            with mock.patch.object(smc, "ess", wraps=smc.ess) as ess_calls:
+                assert next_eps(equal, 0.95) == 10.0
+            assert ess_calls.call_count == 0
+            for log_w in (one_zero, apart):
+                with pytest.raises(LadderStallError):
+                    next_eps(log_w, 0.95)
+            with pytest.raises(DegenerateSystemError):
+                next_eps(np.full(10, -math.inf), 0.5)
+
     def test_identical_distances_hit_cap(self):
         for kernel, start, cap in KERNEL_CASES:
             system = make_system([[1.0], [1.0], [1.0]], lam=start)

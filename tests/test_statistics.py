@@ -226,6 +226,40 @@ class TestDistance:
         assert dxy == pytest.approx(distance(spec, y, x))
         assert distance(spec, x, z) <= dxy + distance(spec, y, z) + 1e-7 * (1 + dxy)
 
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bits_equal_the_one_shot_formula(self, k, rng):
+        # axes below 8 entries take the column adds, 8 and 9 the one-shot code
+        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-310, 1e200, -1e200, 1e160]
+        specs = [DistanceSpec(kind="lp", p=p) for p in (1.0, 1.5, 2.0, 3.0)]
+        specs += [DistanceSpec(kind="sup"), DistanceSpec(kind="scaled_empirical_l2")]
+        for shape in [(k,), (40, k), (12, 3, k)]:
+            for _ in range(5):
+                stats = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+                picked = rng.random(shape) < 0.3
+                stats[picked] = rng.choice(specials, size=int(picked.sum()))
+                obs = rng.standard_normal(k)
+                obs[rng.random(k) < 0.5] = rng.choice(specials)
+                for spec in specs:
+                    with np.errstate(all="ignore"):  # inf - inf, and squares of 1e200
+                        got = distance_batch(spec, stats, obs)
+                        want = one_shot_distances(spec, stats, obs)
+                    assert np.array_equal(got, want, equal_nan=True), (spec, shape)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (spec, shape)
+
+
+def one_shot_distances(spec, stats, observed):
+    """The distance formula on the whole (..., m) difference at once, reduced over its last axis."""
+    delta = np.abs(stats - observed)
+    if spec.kind == "sup":
+        return delta.max(axis=-1)
+    if spec.kind == "scaled_empirical_l2":
+        return np.sqrt((delta * delta).sum(axis=-1)) / delta.shape[-1]
+    if spec.p == 2.0:
+        return np.sqrt((delta * delta).sum(axis=-1))
+    if spec.p == 1.0:
+        return delta.sum(axis=-1)
+    return (delta**spec.p).sum(axis=-1) ** (1.0 / spec.p)
+
 
 def assert_same_bits(got, want):
     """Equal bit patterns, except that any NaN matches any NaN."""

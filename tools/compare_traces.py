@@ -5,8 +5,11 @@
 BASE and CHANGE are checkouts of this repository.  Each run is an ``abcsmc
 run`` at seed 7: the presets with overrides of ``PRESET_RUNS``, then the
 benchmark's workload configs, read from ``perfbench/workloads.py`` next to
-this tool.  Each is made once per checkout in a child process that imports
-the package from that checkout's ``src``.  A run counts as identical only if
+this tool.  Between them they reach every ladder, kernel and M refresh, and
+both paths of ``distance_batch``: statistics shorter than 8 entries (among
+them an ``lp`` distance with p = 3) and one of 9 entries.  Each is made
+once per checkout in a child process that imports the package from that
+checkout's ``src``.  A run counts as identical only if
 both sides exit 0, both write ``trace.csv``, and both write the same files
 with the same bytes, except ``summary.json``'s ``wall_time_s``.  One line
 is printed per run.
@@ -75,6 +78,14 @@ PRESET_RUNS = [
     # the IS refresh can stall the ladder; "stop" ends the run there with exit 0 and keeps its trace
     ("exp2-is", "exp2", ['smc.m_change="is"', 'smc.on_stall="stop"']),
     ("exp3", "exp3", []),
+    # the two paths of distance_batch: a power p other than 1 and 2 on the column adds of a
+    # 3-entry statistic, and a statistic of 8 or more entries on the one-shot reduction
+    ("toy-discrete-p3", "toy-discrete", ["distance.p=3"]),
+    (
+        "exp3-nine-thresholds",
+        "exp3",
+        ["summary.thresholds=[-3.0,-2.25,-1.5,-0.75,0.0,0.75,1.5,2.25,3.0]", "bound.m=9"],
+    ),
     ("exp1-lambda4", "exp1", ["smc.lambda_target=4"]),
 ]
 
