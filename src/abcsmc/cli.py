@@ -41,7 +41,7 @@ from .exceptions import (
     LadderStallError,
 )
 from .models import DiscreteToyModel, enumerated_posterior
-from .smc import fmt, load_trace_csv, posterior_at_lambda, run_smc
+from .smc import fmt, load_trace_csv, posterior_at_lambda, run_smc, weighted_moments
 from .statistics import KERNELS, summarize, summarize_batch
 
 
@@ -161,6 +161,7 @@ def cmd_run(args) -> int:
     if smc_cfg.store_snapshots:
         trace.snapshots_to_csv(out / "snapshots.csv")
 
+    mean, sd = weighted_moments(system.theta, system.weights())
     report = {
         "seed": args.seed,
         "status": trace.status,
@@ -169,8 +170,8 @@ def cmd_run(args) -> int:
         "log_z": system.log_z,
         "m_final": system.m_replicates,
         "sim_calls": system.sim_calls,
-        "theta_mean": system.weighted_mean().tolist(),
-        "theta_sd": system.weighted_sd().tolist(),
+        "theta_mean": mean.tolist(),
+        "theta_sd": sd.tolist(),
         "wall_time_s": wall,
     }
     kernel = KERNELS[smc_cfg.kernel]
@@ -387,10 +388,10 @@ def _experiment1(cfg, seeds, out, name):
         budget = sys_exp.sim_calls
         spend_rows.append(_spend_row(seed, "exponential", sys_exp, tr_exp))
         _, _, _, _, sys_ref, _ = _run_variant(cfg, seed, sd, "reference", n_particles=n_ref)
-        ref_mean = sys_ref.weighted_mean()
+        ref_mean, _ = weighted_moments(sys_ref.theta, sys_ref.weights())
         sys_uni = _uniform_arm(cfg, seed, sd, "uniform", budget, spend_rows)
         for tag, system in (("exponential", sys_exp), ("uniform", sys_uni)):
-            err = np.abs(system.weighted_mean() - ref_mean)
+            err = np.abs(weighted_moments(system.theta, system.weights())[0] - ref_mean)
             for j, e in enumerate(err):
                 err_rows.append([seed, tag, j + 1, fmt(e)])
         _, _, _, _, _, tr_fix = _run_variant(cfg, seed, sd, "fixed_m1", adapt_m=False)
@@ -407,6 +408,7 @@ def _experiment1(cfg, seeds, out, name):
 def _experiment2(cfg, seeds, out, name):
     """Misspecified MSE study over n plus the bound-vs-lambda table."""
     n_grid = cfg.get("n_grid", [30, 90, 270])
+    constants = cfgmod.build_bound_constants(cfg)  # refused before any run
     summary = cfgmod.build_summary(cfg)
     s_true = _truth_stats(cfg, summary)
     lam_fixed = cfg["smc"]["lambda_target"]
@@ -431,8 +433,8 @@ def _experiment2(cfg, seeds, out, name):
                 model, summ, system.theta, system.weights(), len(obs), seed
             )
             estimators["fixed_lambda"] = s_fixed
-            constants = cfgmod.build_bound_constants(ncfg)
-            lam_hat, _ = adaptive_select_lambda(trace, constants, distance_kind=dist_spec.kind)
+            n_constants = cfgmod.build_bound_constants(ncfg)
+            lam_hat, _ = adaptive_select_lambda(trace, n_constants, distance_kind=dist_spec.kind)
             th_a, w_a = posterior_at_lambda(trace, lam_hat)
             s_adapt, _ = _posterior_predictive_stats(model, summ, th_a, w_a, len(obs), seed)
             estimators["adaptive_lambda"] = s_adapt
@@ -457,7 +459,6 @@ def _experiment2(cfg, seeds, out, name):
     # bound-vs-lambda table from the first seed at the preset n: that arm's run when n_grid holds it
     if bound_trace is None:
         _, _, dist_spec, _, _, bound_trace = _run_variant(cfg, seeds[0], _seed_dir(out, seeds[0]), "bound_source")
-    constants = cfgmod.build_bound_constants(cfg)
     _write_csv(
         out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(bound_trace, constants, dist_spec.kind)
     )

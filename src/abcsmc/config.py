@@ -139,7 +139,14 @@ def build_distance(cfg: dict) -> DistanceSpec:
 
 
 def build_bound_constants(cfg: dict) -> BoundConstants:
-    return BoundConstants(**keyword_args("config section 'bound'", cfg["bound"], BoundConstants))
+    """The ``bound`` section's constants, whose ``m`` must be the dimension of the config's statistic."""
+    constants = BoundConstants(**keyword_args("config section 'bound'", cfg["bound"], BoundConstants))
+    m = build_summary(cfg).dim(len(build_observations(cfg, 0)))
+    if constants.m != m:
+        raise InvalidConfigError(
+            f"key 'm' in config section 'bound' must be the statistic's dimension {m}, not {constants.m}"
+        )
+    return constants
 
 
 def build_smc_config(cfg: dict, seed: int | None = None) -> SMCConfig:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import BoundConstants, adaptive_select_lambda
 from .exceptions import InvalidConfigError, InvalidInputError
-from .smc import SMCConfig, posterior_at_lambda, run_smc
+from .smc import SMCConfig, posterior_at_lambda, run_smc, weighted_moments
 from .statistics import DistanceSpec, SummarySpec
 
 _SMC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SMCConfig)}
@@ -87,9 +87,7 @@ class ABCPosteriorEstimator:
             self.theta_, self.weights_ = posterior_at_lambda(trace, self.lambda_)
         else:
             self.theta_, self.weights_ = system.theta, system.weights()
-        self.posterior_mean_ = self.weights_ @ self.theta_
-        var = self.weights_ @ (self.theta_ - self.posterior_mean_) ** 2
-        self.posterior_sd_ = np.sqrt(np.maximum(var, 0.0))
+        self.posterior_mean_, self.posterior_sd_ = weighted_moments(self.theta_, self.weights_)
         return self
 
     def _check_fitted(self):

@@ -7,9 +7,11 @@ kernel.  One ESS-targeted search, ``find_next_lambda``, picks the next rung
 of either ladder from the kernel's start and direction: the lambda rung is a
 bracketed Newton root of log ESS, whose derivative in lambda is a weighted
 mean replicate distance, and the eps rung is read off the sorted live
-replicate distances, where the uniform kernel's ESS jumps.  Every step
-reweights (``reweight``, which also tracks log Z), resamples systematically,
-rejuvenates by MCMC and adapts the replicate count M.
+replicate distances, where the uniform kernel's ESS jumps.  ``run_smc``
+runs every step as four phases on one ``ParticleSystem``: ``_select`` (the
+rung, and the stall policy), ``_reweight_resample`` (``reweight``, which also
+tracks log Z, then systematic resampling), ``_move`` (MCMC rejuvenation) and
+``_change_m`` (the replicate count M and its refresh).
 """
 
 from __future__ import annotations
@@ -178,13 +180,11 @@ class ParticleSystem:
     def ess(self) -> float:
         return ess(self.log_weights)
 
-    def weighted_mean(self) -> np.ndarray:
-        return self.weights() @ self.theta
 
-    def weighted_sd(self) -> np.ndarray:
-        mu = self.weighted_mean()
-        var = self.weights() @ (self.theta - mu) ** 2
-        return np.sqrt(np.maximum(var, 0.0))
+def weighted_moments(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate mean and sd of particles ``theta`` (N, d) under normalized ``weights`` (N,)."""
+    mean = weights @ theta
+    return mean, np.sqrt(np.maximum(weights @ (theta - mean) ** 2, 0.0))
 
 
 def find_next_lambda(
@@ -459,10 +459,10 @@ class SMCConfig:
         if self.kernel not in KERNELS:
             raise InvalidConfigError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "uniform":
-            if self.eps_target is None or self.eps_target < 0:
-                raise InvalidConfigError("uniform kernel requires eps_target >= 0")
-        elif self.lambda_target is None or self.lambda_target < 0:
-            raise InvalidConfigError("exponential kernel requires lambda_target >= 0")
+            if self.eps_target is None or not 0 <= self.eps_target < math.inf:
+                raise InvalidConfigError("uniform kernel requires a finite eps_target >= 0")
+        elif self.lambda_target is None or not 0 <= self.lambda_target < math.inf:
+            raise InvalidConfigError("exponential kernel requires a finite lambda_target >= 0")
         if self.m_change not in ("gibbs", "is"):
             raise InvalidConfigError(f"unknown m_change {self.m_change!r}")
         if self.on_stall not in ("raise", "stop", "advance"):
@@ -476,133 +476,124 @@ class SMCConfig:
         return self
 
 
-def _prior_system(n: int, model, simulate, rng, lam: float) -> ParticleSystem:
-    """N equally weighted prior draws with one replicate each, at the ladder's start."""
-    theta = model.prior_sample(rng, n)
-    return ParticleSystem(theta, simulate(theta, 1), np.full(n, -math.log(n)), lam, log_z=0.0, sim_calls=n)
+def _select(system: ParticleSystem, config: SMCConfig, kernel, stop: float, trace: LadderTrace):
+    """The next rung, clamped to ``stop``, and whether to resample there; (None, False) ends the run.
+
+    A ladder stall ends the run with status ``ladder_stall`` (raising under
+    ``on_stall="raise"``), except under ``"advance"`` on the lambda ladder.
+    """
+    try:
+        lam_new, resample = find_next_lambda(system, config.tau, stop, kernel=kernel), True
+    except LadderStallError as err:
+        if config.on_stall != "advance" or kernel is UniformKernel:
+            trace.status = "ladder_stall"
+            if config.on_stall == "raise":
+                err.trace = trace
+                raise
+            return None, False
+        # The current weights are already below the ESS target -- the
+        # importance-sampling M refresh can do this -- so no admissible
+        # temperature exists.  Push lambda by half anyway and keep the
+        # damaged weights: resampling would launder the diagnostic, and
+        # this instrumented mode records how the weight ESS collapses once
+        # the ESS contract is broken.
+        lam_new, resample = 1.5 * system.lam, False
+    return (stop if kernel.direction * (lam_new - stop) >= 0 else lam_new), resample
+
+
+def _reweight_resample(system: ParticleSystem, lam_new: float, kernel, rng, resample: bool) -> float:
+    """Reweight to ``lam_new``, updating log Z, then resample systematically; returns the ESS before resampling."""
+    log_w, system.log_z = reweight(system.log_weights, system.log_z, system.dists, kernel, system.lam, lam_new)
+    system.log_weights = log_w
+    system.normalize()
+    ess_sel = system.ess()
+    system.lam = lam_new
+    if resample:
+        idx = systematic_resample(system.weights(), float(rng.random()))
+        system.theta = system.theta[idx]
+        system.dists = system.dists[idx]
+        system.log_weights = np.full(idx.size, -math.log(idx.size))
+    return ess_sel
+
+
+def _move(system: ParticleSystem, model, simulate, kernel, rng, k_steps: int) -> float:
+    """K MCMC sweeps, the proposal calibrated on the particles; returns the acceptance rate (1 without sweeps)."""
+    if k_steps == 0:
+        return 1.0
+    chol = mcmc.calibrate(system.theta) if model.theta_atoms is None else None
+    accept_rate, sims = mcmc.rejuvenate(system, model, simulate, kernel, rng, chol, k_steps)
+    system.sim_calls += sims
+    return accept_rate
+
+
+def _change_m(system: ParticleSystem, config: SMCConfig, step: int, accept_rate: float, simulate, rng, kernel):
+    """Set M from the schedule, else from the acceptance (lambda ladder only), refreshing the replicates."""
+    m = system.m_replicates
+    if config.m_schedule is not None:
+        m_new = config.m_schedule.get(step, m)
+    elif config.adapt_m and kernel is not UniformKernel:
+        m_new = madapt.adapt_m(accept_rate, m, config.accept_target, config.m_max)
+    else:
+        return
+    if m_new == m:
+        return
+    if config.m_change == "gibbs":
+        system.sim_calls += madapt.gibbs_refresh_system(system, m_new, simulate, rng, kernel)
+    else:
+        system.sim_calls += madapt.is_refresh_system(system, m_new, simulate, kernel)
+        system.normalize()
 
 
 def run_smc(
-    config: SMCConfig,
-    model: GenerativeModel,
-    summary: SummarySpec,
-    dist_spec: DistanceSpec,
-    observations,
-    hooks=None,
+    config: SMCConfig, model: GenerativeModel, summary: SummarySpec, dist_spec: DistanceSpec, observations
 ) -> tuple[ParticleSystem, LadderTrace]:
     """Full adaptive SMC loop from the prior to the target inverse temperature (or tolerance).
 
-    Each ladder step: choose the next rung by ESS (``find_next_lambda``), reweight and
-    update log Z, resample systematically, rejuvenate with K MCMC sweeps, then
-    adapt the replicate count M.  Identical config and seed reproduce the
-    trace bit for bit.
+    N equally weighted prior draws with one replicate each start the ladder.
+    Each step runs four phases: ``_select`` chooses the next rung by ESS
+    (``find_next_lambda``), ``_reweight_resample`` reweights, updates log Z and
+    resamples systematically, ``_move`` rejuvenates with K MCMC sweeps and
+    ``_change_m`` adapts the replicate count M.  The run ends at the target
+    rung, at ``max_steps``, on the simulation budget, on a stall or on
+    degeneracy.  Identical config and seed reproduce the trace bit for bit.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     kernel = KERNELS[config.kernel]
-    uniform = kernel is UniformKernel
-
     simulate = simulator(model, summary, dist_spec, observations, rng)
     n = config.n_particles
-    system = _prior_system(n, model, simulate, rng, kernel.start_param)
+    theta = model.prior_sample(rng, n)
+    system = ParticleSystem(theta, simulate(theta, 1), np.full(n, -math.log(n)), kernel.start_param, 0.0, n)
+    stop = config.eps_target if kernel is UniformKernel else config.lambda_target
     trace = LadderTrace(kernel=kernel.name)
-    if not uniform and config.lambda_target == 0.0:
-        return system, trace
-
-    stop = config.eps_target if uniform else config.lambda_target
-
-    for step in range(1, config.max_steps + 1):
+    step = 0
+    while system.lam != stop:
+        if step >= config.max_steps:
+            trace.status = "max_steps"
+            break
         if config.sim_budget is not None and system.sim_calls >= config.sim_budget:
             trace.status = "budget_exhausted"
             break
-        stalled = False
-        try:
-            lam_new = find_next_lambda(system, config.tau, stop, kernel=kernel)
-        except LadderStallError as err:
-            if config.on_stall != "advance" or uniform:
-                trace.status = "ladder_stall"
-                if config.on_stall == "raise":
-                    err.trace = trace
-                    raise
-                break
-            # The current weights are already below the ESS target -- the
-            # importance-sampling M refresh can do this -- so no admissible
-            # temperature exists.  Push lambda by half anyway and keep the
-            # damaged weights: resampling would launder the diagnostic, and
-            # this instrumented mode records how the weight ESS collapses once
-            # the ESS contract is broken.
-            lam_new = 1.5 * system.lam
-            stalled = True
-        final = kernel.direction * (lam_new - stop) >= 0
-        if final:
-            lam_new = stop
-
-        system.log_weights, system.log_z = reweight(
-            system.log_weights, system.log_z, system.dists, kernel, system.lam, lam_new
-        )
-        system.normalize()
-        ess_sel = system.ess()
-        system.lam = lam_new
-
-        if not stalled:
-            idx = systematic_resample(system.weights(), float(rng.random()))
-            system.theta = system.theta[idx]
-            system.dists = system.dists[idx]
-            system.log_weights = np.full(n, -math.log(n))
-
-        if config.mcmc_steps > 0:
-            chol = mcmc.calibrate(system.theta) if model.theta_atoms is None else None
-            accept_rate, sim_count = mcmc.rejuvenate(system, model, simulate, kernel, rng, chol, config.mcmc_steps)
-            system.sim_calls += sim_count
-        else:
-            accept_rate = 1.0
-
-        m = system.m_replicates
-        if config.m_schedule is not None:
-            m_new = config.m_schedule.get(step, m)
-        elif config.adapt_m and not uniform:
-            m_new = madapt.adapt_m(accept_rate, m, config.accept_target, config.m_max)
-        else:
-            m_new = m
-        if m_new != m:
-            if config.m_change == "gibbs":
-                sc = madapt.gibbs_refresh_system(system, m_new, simulate, rng, kernel)
-            else:
-                sc = madapt.is_refresh_system(system, m_new, simulate, kernel)
-                system.normalize()
-            system.sim_calls += sc
+        step += 1
+        lam_new, resample = _select(system, config, kernel, stop, trace)
+        if lam_new is None:
+            break
+        ess_sel = _reweight_resample(system, lam_new, kernel, rng, resample)
+        accept_rate = _move(system, model, simulate, kernel, rng, config.mcmc_steps)
+        _change_m(system, config, step, accept_rate, simulate, rng, kernel)
         ess_post = system.ess()
-
         snapshot = None
         if config.store_snapshots:
             snapshot = (system.theta.copy(), system.dists.copy(), system.log_weights.copy())
-        trace.records.append(
-            StepRecord(
-                step=step,
-                lam=lam_new,
-                ess=ess_sel,
-                accept_rate=accept_rate,
-                m=system.m_replicates,
-                log_z=system.log_z,
-                theta_mean=system.weighted_mean(),
-                theta_sd=system.weighted_sd(),
-                ess_post_refresh=ess_post,
-                snapshot=snapshot,
-            )
-        )
-        if hooks:
-            for hook in hooks:
-                hook(trace.records[-1], system)
+        mean, sd = weighted_moments(system.theta, system.weights())
+        trace.records.append(StepRecord(
+            step, lam_new, ess_sel, accept_rate, system.m_replicates, system.log_z, mean, sd, ess_post, snapshot
+        ))
         if ess_post <= 1.0 + 1e-9:
             trace.status = "degenerate"
             if config.on_stall == "raise":
                 raise DegenerateSystemError("particle system collapsed to a single particle", trace)
             break
-        if final:
-            break
-    else:
-        trace.status = "max_steps"
-
     if config.store_snapshots:
         _thin_snapshots(trace, SNAPSHOT_MAX)
     return system, trace

@@ -285,8 +285,8 @@ class TestBound:
         assert rc == 2
 
 
-def _run_override(preset, override):
-    return lambda tmp_path: ["run", "--preset", preset, *TOY_FAST, "--override", override]
+def _run_override(preset, *overrides):
+    return lambda tmp_path: ["run", "--preset", preset, *TOY_FAST, *(f"--override={o}" for o in overrides)]
 
 
 def _run_without_obs_probs(tmp_path):
@@ -340,6 +340,21 @@ BAD_INPUTS = {
     "smc-m-schedule-zero": (_run_override("toy-discrete", 'smc.m_schedule={"2":0}'), ["m_schedule", ">= 1"]),
     "smc-m-schedule-negative": (_run_override("toy-discrete", 'smc.m_schedule={"2":-1}'), ["m_schedule", ">= 1"]),
     "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
+    # a ladder target the run cannot reach: it ran until max_steps
+    "smc-lambda-target-infinite": (_run_override("toy-discrete", "smc.lambda_target=Infinity"), ["finite lambda_target"]),
+    "smc-lambda-target-nan": (_run_override("toy-discrete", "smc.lambda_target=NaN"), ["finite lambda_target"]),
+    "smc-eps-target-infinite": (
+        _run_override("toy-discrete", 'smc.kernel="uniform"', "smc.eps_target=Infinity"), ["finite eps_target"]
+    ),
+    # a bound computed for a statistic of another dimension
+    "bound-m-not-the-dimension": (_run_override("toy-quadrature", "bound.m=2"), ["'bound'", "'m'", "dimension 1"]),
+    "bound-m-nine-thresholds": (
+        _run_override("exp3", "summary.thresholds=[-3.0,-2.25,-1.5,-0.75,0.0,0.75,1.5,2.25,3.0]"),
+        ["'bound'", "'m'", "dimension 9", "not 7"],
+    ),
+    "experiment-exp2-bound-m": (
+        lambda tmp_path: ["experiment", "exp2", "--override", "bound.m=7"], ["'bound'", "'m'", "dimension 6"]
+    ),
     # rows that sum to 1 but hold a negative entry: the likelihood table gets an entry of -0.24 at n=3
     "model-negative-obs-prob": (
         _run_override(

@@ -582,6 +582,22 @@ class TestRunSMC:
         assert trace.status == "budget_exhausted"
         assert system.lam < 50.0
 
+    def test_run_ends_at_the_target_max_steps_or_before_any_step(self):
+        model, summary, dist, obs = _toy_problem()
+        cfg = SMCConfig(n_particles=300, lambda_target=5.0, seed=0)
+        _, full = run_smc(cfg, model, summary, dist, obs)
+        steps = len(full)
+        assert full.status == "ok" and steps >= 2
+        # the last rung lands exactly on step max_steps
+        _, trace = run_smc(dataclasses.replace(cfg, max_steps=steps), model, summary, dist, obs)
+        assert trace.status == "ok" and len(trace) == steps and trace.lambdas[-1] == 5.0
+        # one step fewer stops below the target
+        _, trace = run_smc(dataclasses.replace(cfg, max_steps=steps - 1), model, summary, dist, obs)
+        assert trace.status == "max_steps" and len(trace) == steps - 1 and trace.lambdas[-1] < 5.0
+        # the prior is already the target: no step, and only the first draw's simulations
+        system, trace = run_smc(dataclasses.replace(cfg, lambda_target=0.0), model, summary, dist, obs)
+        assert trace.status == "ok" and len(trace) == 0 and system.sim_calls == 300
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             SMCConfig(n_particles=1).validate()
@@ -591,6 +607,12 @@ class TestRunSMC:
             SMCConfig(kernel="uniform").validate()  # needs eps_target
         with pytest.raises(InvalidConfigError):
             SMCConfig(lambda_target=None).validate()  # the exponential kernel needs a target
+        # a target the ladder cannot reach would run to max_steps
+        for target in (math.inf, math.nan):
+            with pytest.raises(InvalidConfigError, match="finite lambda_target"):
+                SMCConfig(lambda_target=target).validate()
+            with pytest.raises(InvalidConfigError, match="finite eps_target"):
+                SMCConfig(kernel="uniform", eps_target=target, lambda_target=None).validate()
         with pytest.raises(InvalidConfigError):
             SMCConfig(m_change="bogus").validate()
         with pytest.raises(InvalidConfigError):
@@ -775,18 +797,11 @@ class TestSamplerInvariants:
             lambda_target=4.0 if kernel == "exponential" else None,
             kernel=kernel,
             eps_target=1.0 if preset == "toy-discrete" else 0.05,
-            max_steps=40,  # keeps each example short
+            max_steps=40,  # keeps each example short, and below SNAPSHOT_MAX, so no snapshot is thinned
             m_schedule={1: 2, 3: 4} if refresh else None,
             m_change="gibbs",
+            store_snapshots=True,  # each step's log weights, as the step left them
         ).validate()
-        records = []
-
-        def check(record, system):
-            lw = system.log_weights
-            assert not np.any(np.isnan(lw))
-            assert abs(logsumexp(lw, axis=0)) <= 1e-9
-            records.append(record)
-
         increments = []
 
         def recording_reweight(log_weights, *args):
@@ -796,15 +811,19 @@ class TestSamplerInvariants:
             return out
 
         with mock.patch.object(smc, "reweight", recording_reweight):
-            run_smc(
+            _, trace = run_smc(
                 smc_cfg,
                 cfgmod.build_model(cfg),
                 cfgmod.build_summary(cfg),
                 cfgmod.build_distance(cfg),
                 cfgmod.build_observations(cfg, seed),
-                hooks=[check],
             )
+        records = trace.records
         assert records
+        for r in records:
+            lw = r.snapshot[2]
+            assert not np.any(np.isnan(lw))
+            assert abs(logsumexp(lw, axis=0)) <= 1e-9
         assert len(increments) == len(records)
         assert all(np.all(inc <= 0.0) for inc in increments)
         log_z = [0.0] + [r.log_z for r in records]

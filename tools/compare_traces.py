@@ -5,14 +5,14 @@
 BASE and CHANGE are checkouts of this repository.  Each run is an ``abcsmc
 run`` at seed 7: the presets with overrides of ``PRESET_RUNS``, then the
 benchmark's workload configs, read from ``perfbench/workloads.py`` next to
-this tool.  Between them they reach every ladder, kernel and M refresh, and
-both paths of ``distance_batch``: statistics shorter than 8 entries (among
-them an ``lp`` distance with p = 3) and one of 9 entries.  Each is made
-once per checkout in a child process that imports the package from that
-checkout's ``src``.  A run counts as identical only if
-both sides exit 0, both write ``trace.csv``, and both write the same files
-with the same bytes, except ``summary.json``'s ``wall_time_s``.  One line
-is printed per run.
+this tool.  Between them they reach every ladder, kernel and M refresh, the
+stall push of ``on_stall="advance"``, and both paths of ``distance_batch``:
+statistics shorter than 8 entries (among them an ``lp`` distance with
+p = 3) and one of 9 entries.  Each is made once per checkout in a child
+process that imports the package from that checkout's ``src``.  A run
+counts as identical only if both sides exit 0, both write ``trace.csv``,
+and both write the same files with the same bytes, except
+``summary.json``'s ``wall_time_s``.  One line is printed per run.
 
 The ``mixture-adaptive-m`` workload then runs once more per checkout, in a
 child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
@@ -77,6 +77,8 @@ PRESET_RUNS = [
     ("exp2", "exp2", []),
     # the IS refresh can stall the ladder; "stop" ends the run there with exit 0 and keeps its trace
     ("exp2-is", "exp2", ['smc.m_change="is"', 'smc.on_stall="stop"']),
+    # "advance" pushes lambda by half past such a stall and keeps the weights (steps 12-14 at seed 7)
+    ("exp2-is-advance", "exp2", ['smc.m_change="is"', 'smc.on_stall="advance"']),
     ("exp3", "exp3", []),
     # the two paths of distance_batch: a power p other than 1 and 2 on the column adds of a
     # 3-entry statistic, and a statistic of 8 or more entries on the one-shot reduction
