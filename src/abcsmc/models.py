@@ -10,6 +10,13 @@ through it; code that needs the data itself (truth draws, posterior
 predictive checks) calls ``simulate_batch`` at the full size.  All randomness
 flows through caller-supplied ``numpy.random.Generator`` streams, so a fixed
 seed reproduces datasets bit for bit.
+
+``simulate_batch(..., reduce=f)`` returns ``f`` of the datasets instead of
+the datasets: ``f`` maps a (k, m, n) batch of them to (k, m) values (the
+sampler passes summary, then distance).  The mixture hands them to ``f`` in
+row chunks of at most about ``CHUNK_ELEMENTS`` raw values, so a large M
+never builds the (B, m, n) array; the other simulators, whose datasets are
+small, apply ``f`` once to all of them.  The chunks change no value.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
-from .statistics import beside, distance_batch, helper, row_blocks, rows_per_block, summarize, summarize_batch, wait
+from .statistics import beside, distance_batch, row_blocks, rows_per_block, summarize, summarize_batch, wait
 
 _LOG_2PI = math.log(2.0 * math.pi)
+CHUNK_ELEMENTS = 1 << 20  # raw values per row chunk the mixture hands to reduce (8 MiB of float64)
 
 
 class GenerativeModel:
@@ -43,8 +51,8 @@ class GenerativeModel:
     def prior_logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def simulate_batch(self, thetas: np.ndarray, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Simulate m datasets of size n for each row of thetas; shape (B, m, n)."""
+    def simulate_batch(self, thetas: np.ndarray, n: int, m: int, rng: np.random.Generator, reduce=None) -> np.ndarray:
+        """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them."""
         raise NotImplementedError
 
     def reduced(self, summary, n: int) -> tuple[GenerativeModel, int]:
@@ -75,64 +83,89 @@ class MixtureModel(GenerativeModel):
         z = thetas / self._prior_sd
         return -0.5 * (z * z).sum(axis=1) - 2.0 * _LOG_2PI - np.log(self._prior_sd).sum()
 
-    def simulate_batch(self, thetas, n, m, rng):
-        """Simulate m datasets of size n for each row of thetas; shape (B, m, n).
+    def simulate_batch(self, thetas, n, m, rng, reduce=None):
+        """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m).
 
         Stream contract: all B*m*n uniforms (the component labels) are drawn
         first, then all B*m*n standard normals, each in C order of the
-        output.  Draws are made on consecutive row blocks of the output, so
-        the generator is consumed exactly as by one-shot draws of the full
-        shape and the block size never changes a value.  Each observation is
-        mu + s*z with (mu, s) of the label's component, applied in place.
+        datasets.  Draws are made on consecutive row blocks, so the generator
+        is consumed exactly as by one-shot draws of the full shape and the
+        block size never changes a value.  Each observation is mu + s*z with
+        (mu, s) of the label's component, applied in place.
 
-        With a helper thread (``statistics.helper``), the affine map of each
-        block but the last runs on it while this thread draws the next
-        normals.  If ``rng`` can also jump exactly (``_labels_can_jump``),
-        the helper first draws the labels from a copy of ``rng``'s state,
-        while ``rng`` jumps past the B*m*n uniforms and this thread draws
-        only the normals.  Otherwise this thread draws the labels first.
-        Either way every value and ``rng``'s final state are the same bits
-        as the one-shot draws.
+        Without ``reduce`` the datasets are made as one row chunk and
+        returned.  With it, they are made in row chunks of whole blocks, at
+        most ``CHUNK_ELEMENTS`` raw values each (or one row, if longer), in
+        one reused buffer, and each finished (k, m, n) chunk goes to
+        ``reduce`` on the calling thread; its (k, m) results are returned
+        stacked, so no more than one chunk of datasets exists at once.
+
+        If ``rng`` can jump exactly (``_labels_can_jump``), the labels are
+        drawn chunk by chunk from a copy of ``rng``'s state while ``rng``
+        jumps past the B*m*n uniforms, and this thread draws only the
+        normals; with a helper thread (``statistics.helper``) the labels are
+        drawn there.  Any other generator draws every label first, into a
+        (B, m, n) bool array.  With a helper, the affine map of each block but
+        a chunk's last also runs on it while this thread draws the next
+        normals.  Either way every value and ``rng``'s final state are the
+        same bits as the one-shot draws.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
-        if m * n == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
-            return np.empty((thetas.shape[0], m, n))
-        mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
-        mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
-        out = np.empty((thetas.shape[0], m, n))
-        pick1 = np.empty(out.shape, dtype=bool)
+        b, size = thetas.shape[0], m * n
+        if b * size == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
+            empty = np.empty((b, m, n))
+            return empty if reduce is None else reduce(empty)
+        step = rows_per_block(size)
+        rows = b if reduce is None else min(b, step * max(1, CHUNK_ELEMENTS // (step * size)))
+        # row r's (s, mu) of component 2 sits at 2r, that of component 1 at 2r + 1
+        sd, mean = np.exp(thetas[:, [3, 1]]).ravel(), thetas[:, [2, 0]].ravel()
+        buf = np.empty((rows, m, n))
+        u = np.empty((min(b, step), m, n))  # one block of label uniforms, reused
 
-        def affine(b0, b1):
-            z, pick = out[b0:b1], pick1[b0:b1]
-            z *= np.where(pick, s1[b0:b1], s2[b0:b1])
-            z += np.where(pick, mu1[b0:b1], mu2[b0:b1])
+        def labels(gen, pick):
+            for b0, b1 in row_blocks(len(pick), size):
+                np.less(gen.random(out=u[: b1 - b0]), self.p, out=pick[b0:b1])
 
-        blocks = list(row_blocks(thetas.shape[0], m * n))
-        labels_rng = rng
-        if helper() is not None and _labels_can_jump(rng.bit_generator):
+        def affine(z, pick, r0):
+            at = np.add(pick, 2 * np.arange(r0, r0 + len(z))[:, None, None])
+            z *= sd.take(at)
+            z += mean.take(at)
+
+        if _labels_can_jump(rng.bit_generator):
             labels_rng = np.random.Generator(type(rng.bit_generator)())
             labels_rng.bit_generator.state = rng.bit_generator.state
-            rng.bit_generator.advance(out.size)
-
-        def labels():
-            u = np.empty((min(len(out), rows_per_block(m * n)), m, n))  # one block of scratch, reused
-            for b0, b1 in blocks:
-                np.less(labels_rng.random(out=u[: b1 - b0]), self.p, out=pick1[b0:b1])
-
-        labels_task = beside(labels) if labels_rng is not rng else labels()  # None when drawn here
-        pending = [labels_task]
-        try:
-            for i, (b0, b1) in enumerate(blocks):
-                rng.standard_normal(out=out[b0:b1])
-                if i + 1 < len(blocks):
-                    pending.append(beside(affine, b0, b1))
-                else:
-                    wait([labels_task])
-                    affine(b0, b1)
-        finally:
-            wait(pending)
+            rng.bit_generator.advance(b * size)
+            pick_buf, picks = np.empty(buf.shape, dtype=bool), None
+        else:
+            picks = np.empty((b, m, n), dtype=bool)
+            labels(rng, picks)
+        out = np.empty((b, m)) if rows < b else None
+        for c0 in range(0, b, rows):
+            c1 = min(b, c0 + rows)
+            x = buf[: c1 - c0]
+            if picks is None:
+                pick = pick_buf[: c1 - c0]
+                labels_task = beside(labels, labels_rng, pick)  # None when drawn here
+            else:
+                pick, labels_task = picks[c0:c1], None
+            pending = [labels_task]
+            try:
+                blocks = list(row_blocks(c1 - c0, size))
+                for i, (b0, b1) in enumerate(blocks):
+                    rng.standard_normal(out=x[b0:b1])
+                    if i + 1 < len(blocks):
+                        pending.append(beside(affine, x[b0:b1], pick[b0:b1], c0 + b0))
+                    else:
+                        wait([labels_task])
+                        affine(x[b0:b1], pick[b0:b1], c0 + b0)
+            finally:
+                wait(pending)
+            r = x if reduce is None else reduce(x)
+            if out is None:  # one chunk: its result is the whole result
+                return r
+            out[c0:c1] = r
         return out
 
 
@@ -168,14 +201,14 @@ class GaussianLocationModel(GenerativeModel):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return -0.5 * thetas[:, 0] ** 2 / self.prior_var - 0.5 * (_LOG_2PI + math.log(self.prior_var))
 
-    def simulate_batch(self, thetas, n, m, rng):
+    def simulate_batch(self, thetas, n, m, rng, reduce=None):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
         z = rng.normal(size=(thetas.shape[0], m, n))
         z *= self.noise_sd
         z += thetas[:, 0, None, None]
-        return z
+        return z if reduce is None else reduce(z)
 
     def reduced(self, summary, n):
         """The unclamped sample mean of n draws is exactly N(theta, noise_sd^2 / n): one draw at that sd.
@@ -285,8 +318,8 @@ class DiscreteToyModel(GenerativeModel):
         out[~hit] = -math.inf
         return out
 
-    def simulate_batch(self, thetas, n, m, rng):
-        """One uniform per replicate, mapped through its atom's dataset CDF; shape (B, m, n).
+    def simulate_batch(self, thetas, n, m, rng, reduce=None):
+        """One uniform per replicate, mapped through its atom's dataset CDF; shape (B, m, n), or ``reduce``'s (B, m).
 
         ``atom_index_batch`` finds the rows' atoms, and raises
         ``InvalidParameterError`` before any draw if a row is no atom.  The
@@ -299,7 +332,9 @@ class DiscreteToyModel(GenerativeModel):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         atoms = self.atom_index_batch(thetas[:, 0])
         u = rng.random((thetas.shape[0], m))
-        return self._datasets.take(self._dataset_index(atoms, u), axis=0)
+        data = self._datasets.take(self._dataset_index(atoms, u), axis=0)
+        del atoms, u  # only the datasets stay alive through reduce
+        return data if reduce is None else reduce(data)
 
     def _dataset_index(self, atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to the last dataset, cdf that of each row's atom.

@@ -43,7 +43,9 @@ from .statistics import (
 )
 
 
-# Raw simulated values per chunk of simulate_distances: 160 MB of float64, however large M grows
+# Raw simulated values per replicate chunk of simulate_distances (160 MB of float64).  The chunks
+# fix the random stream for large M; the mixture streams each one through the statistic in row
+# chunks of about 2^20 values (``models.CHUNK_ELEMENTS``), the other simulators build it whole.
 MAX_SIM_ELEMENTS = 20_000_000
 # Most snapshots a run with store_snapshots keeps (``_thin_snapshots``)
 SNAPSHOT_MAX = 200
@@ -64,19 +66,26 @@ def simulate_distances(
     The datasets are drawn from ``model.reduced(summary, n_obs)``, which
     gives the same statistic law at a size of at most n_obs (the Gaussian
     sample mean is drawn as one observation).  Replicates are simulated in
-    chunks of at most ``MAX_SIM_ELEMENTS`` raw values, so the (N, chunk, n)
-    array stays bounded in memory.  A NaN distance (a simulator whose output
-    overflowed, say) becomes +inf: kernel value 0 at every rung past the
-    first, rather than a NaN weight and log Z.
+    chunks of at most ``MAX_SIM_ELEMENTS`` raw values, one ``simulate_batch``
+    call each.  That call gets a ``reduce`` that summarizes datasets and
+    measures their distances (``summarize_batch`` and ``distance_batch``,
+    looked up on this module at call time), so the simulator hands back
+    distances and, for the mixture, never holds the (N, chunk, n) datasets
+    at once.  A NaN distance (a simulator whose output overflowed, say)
+    becomes +inf: kernel value 0 at every rung past the first, rather than
+    a NaN weight and log Z.
     """
     model, n_obs = model.reduced(summary, n_obs)
     n_particles = theta.shape[0]
     chunk = max(1, min(m, MAX_SIM_ELEMENTS // max(1, n_particles * n_obs)))
+
+    def reduce(sims):
+        return distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
+
     out = np.empty((n_particles, m))
     for j0 in range(0, m, chunk):
         j1 = min(m, j0 + chunk)
-        sims = model.simulate_batch(theta, n_obs, j1 - j0, rng)
-        out[:, j0:j1] = distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
+        out[:, j0:j1] = model.simulate_batch(theta, n_obs, j1 - j0, rng, reduce)
     out[np.isnan(out)] = math.inf
     return out
 
@@ -473,6 +482,11 @@ class SMCConfig:
             raise InvalidConfigError("m_schedule steps and counts must be >= 1")
         if self.mcmc_steps < 0:
             raise InvalidConfigError("mcmc_steps must be >= 0")
+        # either would end the run before its first rung
+        if self.max_steps < 1:
+            raise InvalidConfigError("max_steps must be >= 1")
+        if self.sim_budget is not None and self.sim_budget <= self.n_particles:
+            raise InvalidConfigError("sim_budget must exceed n_particles, which the first draw spends")
         return self
 
 

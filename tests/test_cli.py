@@ -340,6 +340,13 @@ BAD_INPUTS = {
     "smc-m-schedule-zero": (_run_override("toy-discrete", 'smc.m_schedule={"2":0}'), ["m_schedule", ">= 1"]),
     "smc-m-schedule-negative": (_run_override("toy-discrete", 'smc.m_schedule={"2":-1}'), ["m_schedule", ">= 1"]),
     "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
+    # runs that would end before their first rung: no step allowed, or a budget the first draw spends
+    "smc-max-steps-zero": (_run_override("toy-discrete", "smc.max_steps=0"), ["max_steps", ">= 1"]),
+    "smc-max-steps-negative": (_run_override("toy-quadrature", "smc.max_steps=-1"), ["max_steps", ">= 1"]),
+    "smc-sim-budget-at-n": (_run_override("toy-discrete", "smc.sim_budget=400"), ["sim_budget", "n_particles"]),
+    "smc-sim-budget-below-n": (
+        _run_override("toy-quadrature", "smc.sim_budget=10"), ["sim_budget", "n_particles"]
+    ),
     # a ladder target the run cannot reach: it ran until max_steps
     "smc-lambda-target-infinite": (_run_override("toy-discrete", "smc.lambda_target=Infinity"), ["finite lambda_target"]),
     "smc-lambda-target-nan": (_run_override("toy-discrete", "smc.lambda_target=NaN"), ["finite lambda_target"]),

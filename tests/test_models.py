@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from abcsmc.exceptions import InvalidConfigError, InvalidParameterError
+from abcsmc import models, statistics
+from abcsmc.exceptions import InvalidConfigError, InvalidInputError, InvalidParameterError
 from abcsmc.models import (
+    CHUNK_ELEMENTS,
     DiscreteToyModel,
     GaussianLocationModel,
     MixtureModel,
@@ -22,8 +25,11 @@ from abcsmc.statistics import (
     ExponentialKernel,
     SummarySpec,
     UniformKernel,
+    distance_batch,
+    summarize,
     summarize_batch,
 )
+from abcsmc.smc import simulate_distances
 
 
 def small_discrete_model():
@@ -198,6 +204,121 @@ class TestMixtureModel:
         model = MixtureModel()
         for kind in ("mean", "moments_and_tails"):
             assert model.reduced(SummarySpec(kind=kind), 90) == (model, 90)
+
+
+def one_shot_mixture(model, thetas, n, m, rng):
+    """All B*m*n label uniforms, then all normals, in one draw each; (mu, s) of the label's component."""
+    mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
+    mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
+    u = rng.random((len(thetas), m, n))
+    z = rng.standard_normal((len(thetas), m, n))
+    return np.where(u < model.p, mu1 + s1 * z, mu2 + s2 * z)
+
+
+STREAM_SUMMARY = SummarySpec(kind="moments_and_tails", clamp=(-5.0, 5.0))
+STREAM_OBS = summarize(STREAM_SUMMARY, np.linspace(-2.0, 3.0, 90))
+
+
+def same_state(x, y) -> bool:
+    """Two bit-generator states (nested dicts, MT19937's holding an array) are equal."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same_state(x[k], y[k]) for k in x)
+    return np.array_equal(x, y)
+
+
+def stream_reduce(sims):
+    return distance_batch(DistanceSpec(), summarize_batch(STREAM_SUMMARY, sims), STREAM_OBS)
+
+
+class TestStreamedReduce:
+    """``simulate_batch(..., reduce)`` equals ``reduce`` of the one-shot datasets, and leaves the generator alike."""
+
+    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
+    @pytest.mark.parametrize("m", [1, 3, 256])
+    def test_row_chunks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, on):
+        monkeypatch.setattr(statistics, "_use_helper", on)
+        n = 90
+        b = int(2.3 * CHUNK_ELEMENTS) // (m * n)  # two full row chunks and a short one
+        model = MixtureModel(p=0.7)
+        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(m), b)
+        rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
+        chunks = []
+
+        def reduce(sims):
+            chunks.append(len(sims))
+            return stream_reduce(sims)
+
+        got = model.simulate_batch(thetas, n, m, rng, reduce)
+        assert len(chunks) == 3 and chunks[0] == chunks[1] > chunks[2] and sum(chunks) == b
+        assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, n, m, ref)))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+    def test_simulate_distances_equals_one_shot_pipeline(self, monkeypatch, on):
+        """The sampler's path gives the distances of the whole datasets, summarized and measured at once."""
+        monkeypatch.setattr(statistics, "_use_helper", on)
+        model = MixtureModel()
+        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 101)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = simulate_distances(model, thetas, 90, 256, rng, STREAM_SUMMARY, DistanceSpec(), STREAM_OBS)
+        assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, 90, 256, ref)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+    def test_no_draws_reduce_the_empty_datasets(self, monkeypatch, on):
+        monkeypatch.setattr(statistics, "_use_helper", on)
+        thetas = MixtureModel().prior_sample(np.random.default_rng(0), 5)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert MixtureModel().simulate_batch(thetas, 90, 0, rng, stream_reduce).shape == (5, 0)
+        with pytest.raises(InvalidInputError):  # as summarize_batch refuses empty datasets
+            MixtureModel().simulate_batch(thetas, 0, 3, rng, stream_reduce)
+        assert rng.bit_generator.state == state
+
+    def test_other_models_reduce_their_whole_output(self, rng):
+        gauss, discrete = GaussianLocationModel(), small_discrete_model()
+        for model, thetas, n in ((gauss, np.array([[0.5], [-1.0]]), 4), (discrete, np.array([[0.0], [1.0]]), 2)):
+            got = model.simulate_batch(thetas, n, 3, np.random.default_rng(1), lambda x: x.sum(axis=-1))
+            assert np.array_equal(got, model.simulate_batch(thetas, n, 3, np.random.default_rng(1)).sum(axis=-1))
+
+    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_a_failing_reduce_propagates_and_leaves_no_task_running(self, monkeypatch, on, fail_at):
+        monkeypatch.setattr(statistics, "_use_helper", on)
+        tasks = []
+
+        def spy(fn, *args):
+            tasks.append(statistics.beside(fn, *args))
+            return tasks[-1]
+
+        monkeypatch.setattr(models, "beside", spy)
+        calls = []
+
+        def reduce(sims):
+            calls.append(len(sims))
+            if len(calls) == fail_at:
+                raise ValueError("reduce failed")
+            return stream_reduce(sims)
+
+        thetas = MixtureModel().prior_sample(np.random.default_rng(0), 150)
+        with pytest.raises(ValueError, match="reduce failed"):
+            MixtureModel().simulate_batch(thetas, 90, 256, np.random.default_rng(1), reduce)
+        assert len(calls) == fail_at
+        assert tasks and all(t is None or t.done() for t in tasks)
+        assert any(t is not None for t in tasks) == on
+
+    def test_memory_holds_one_row_chunk(self):
+        """N=500, M=256, n=90: the datasets alone would be 88 MiB; one row chunk is 8 MiB."""
+        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 500)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            simulate_distances(MixtureModel(), thetas, 90, 256, rng, STREAM_SUMMARY, DistanceSpec(), STREAM_OBS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestGaussianLocationModel:

@@ -625,6 +625,14 @@ class TestRunSMC:
             with pytest.raises(InvalidConfigError, match="m_schedule"):
                 SMCConfig(m_schedule=schedule).validate()
         SMCConfig(m_schedule={2: 256}).validate()  # a scheduled M may exceed m_max
+        # a run that would end before its first rung
+        for steps in (0, -1):
+            with pytest.raises(InvalidConfigError, match="max_steps must be >= 1"):
+                SMCConfig(max_steps=steps).validate()
+        for budget in (0, 299, 300):  # the first draw alone spends n_particles calls
+            with pytest.raises(InvalidConfigError, match="sim_budget must exceed n_particles"):
+                SMCConfig(n_particles=300, sim_budget=budget).validate()
+        SMCConfig(n_particles=300, sim_budget=301, max_steps=1).validate()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_observations_rejected(self, bad):

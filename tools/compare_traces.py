@@ -6,7 +6,8 @@ BASE and CHANGE are checkouts of this repository.  Each run is an ``abcsmc
 run`` at seed 7: the presets with overrides of ``PRESET_RUNS``, then the
 benchmark's workload configs, read from ``perfbench/workloads.py`` next to
 this tool.  Between them they reach every ladder, kernel and M refresh, the
-stall push of ``on_stall="advance"``, and both paths of ``distance_batch``:
+stall push of ``on_stall="advance"``, an M whose replicates take two chunks
+of ``MAX_SIM_ELEMENTS``, and both paths of ``distance_batch``:
 statistics shorter than 8 entries (among them an ``lp`` distance with
 p = 3) and one of 9 entries.  Each is made once per checkout in a child
 process that imports the package from that checkout's ``src``.  A run
@@ -89,6 +90,9 @@ PRESET_RUNS = [
         ["summary.thresholds=[-3.0,-2.25,-1.5,-0.75,0.0,0.75,1.5,2.25,3.0]", "bound.m=9"],
     ),
     ("exp1-lambda4", "exp1", ["smc.lambda_target=4"]),
+    # an M past MAX_SIM_ELEMENTS: one simulate_distances call makes replicate chunks of 2222 and 78,
+    # and the mixture streams each through the statistic in row chunks
+    ("exp1-two-replicate-chunks", "exp1", ["smc.n_particles=100", 'smc.m_schedule={"1": 2300, "2": 8}']),
 ]
 
 
