@@ -54,23 +54,27 @@ def rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
     Continuous models use a Gaussian random walk with step chol @ z, chol
     from ``calibrate``; discrete models (theta_atoms set) use a symmetric uniform
     proposal over the atoms.  ``simulate(theta, m)`` gives each proposal its
-    m fresh replicate distances (the run's ``smc.simulator``).  Acceptance
-    uses the standard rule log U < ``mh_log_ratio``.  Each sweep finds the
-    accepted rows once (``np.flatnonzero``) and copies only those rows of the
-    proposal, its distances, prior log density and log kernel sum into the
-    current state.
+    m fresh replicate distances (the run's ``smc.simulator``).  The atoms'
+    log prior is computed once per call, and each atom proposal reads its
+    own by the drawn index.  Acceptance uses the standard rule
+    log U < ``mh_log_ratio``.  Each sweep finds the accepted rows once
+    (``np.flatnonzero``) and copies only those rows of the proposal, its
+    distances, prior log density and log kernel sum into the current state.
     """
     n, m = system.dists.shape
     atoms = model.theta_atoms
+    atoms_log_prior = None if atoms is None else model.prior_logpdf_batch(atoms)
     log_prior = model.prior_logpdf_batch(system.theta)
     log_kern = kernel.log_sum(system.dists, system.lam)
     accepts = 0
     for _ in range(k_steps):
         if atoms is not None:
-            prop = atoms[rng.integers(0, len(atoms), size=n)]
+            k = rng.integers(0, len(atoms), size=n)
+            prop, lp_prop = atoms.take(k, axis=0), atoms_log_prior.take(k)
+            del k  # not alive through the simulation, the sweep's peak
         else:
             prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
-        lp_prop = model.prior_logpdf_batch(prop)
+            lp_prop = model.prior_logpdf_batch(prop)
         d_prop = simulate(prop, m)
         lk_prop = kernel.log_sum(d_prop, system.lam)
         idx = np.flatnonzero(np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop))

@@ -12,17 +12,19 @@ flows through caller-supplied ``numpy.random.Generator`` streams, so a fixed
 seed reproduces datasets bit for bit.
 
 ``simulate_batch(..., reduce=f)`` returns ``f`` of the datasets instead of
-the datasets: ``f`` maps a (k, m, n) batch of them to (k, m) values (the
-sampler passes summary, then distance).  The mixture hands them to ``f`` in
-row chunks of at most about ``CHUNK_ELEMENTS`` raw values, so a large M
-never builds the (B, m, n) array; the other simulators, whose datasets are
-small, apply ``f`` once to all of them.  The chunks change no value.
+the datasets: ``f`` maps (..., n) datasets to (...) values (the sampler
+passes summary, then distance).  The mixture hands them to ``f`` in blocks of
+at most ``statistics.rows_per_block(n)`` datasets, on the helper thread while
+the calling thread draws the next block's normals, so a large M never builds
+the (B, m, n) array; the other simulators, whose datasets are small, apply
+``f`` once to all of them.  The blocks change no value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .exceptions import InvalidConfigError, InvalidParameterError
 from .statistics import beside, distance_batch, row_blocks, rows_per_block, summarize, summarize_batch, wait
 
 _LOG_2PI = math.log(2.0 * math.pi)
-CHUNK_ELEMENTS = 1 << 20  # raw values per row chunk the mixture hands to reduce (8 MiB of float64)
+_BLOCK_BUFFERS = 3  # the mixture's reused block buffers: the block drawn here and two its tasks still read
 
 
 class GenerativeModel:
@@ -52,7 +54,11 @@ class GenerativeModel:
         raise NotImplementedError
 
     def simulate_batch(self, thetas: np.ndarray, n: int, m: int, rng: np.random.Generator, reduce=None) -> np.ndarray:
-        """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them."""
+        """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them.
+
+        ``reduce`` maps (..., n) datasets to (...) values; it may be handed
+        the datasets in blocks, on the helper thread (``statistics.beside``).
+        """
         raise NotImplementedError
 
     def reduced(self, summary, n: int) -> tuple[GenerativeModel, int]:
@@ -88,85 +94,85 @@ class MixtureModel(GenerativeModel):
 
         Stream contract: all B*m*n uniforms (the component labels) are drawn
         first, then all B*m*n standard normals, each in C order of the
-        datasets.  Draws are made on consecutive row blocks, so the generator
-        is consumed exactly as by one-shot draws of the full shape and the
-        block size never changes a value.  Each observation is mu + s*z with
-        (mu, s) of the label's component, applied in place.
+        datasets.  Draws are made on consecutive blocks of datasets, so the
+        generator is consumed exactly as by one-shot draws of the full shape
+        and the block size never changes a value.  Each observation is
+        mu + s*z with (mu, s) of the label's component, applied in place.
 
-        Without ``reduce`` the datasets are made as one row chunk and
-        returned.  With it, they are made in row chunks of whole blocks, at
-        most ``CHUNK_ELEMENTS`` raw values each (or one row, if longer), in
-        one reused buffer, and each finished (k, m, n) chunk goes to
-        ``reduce`` on the calling thread; its (k, m) results are returned
-        stacked, so no more than one chunk of datasets exists at once.
+        The datasets are made in blocks of at most ``rows_per_block(n)``
+        (a particle's m datasets may span several blocks).  This thread draws
+        each block's normals; one task per block (``beside``: on the helper
+        thread, in order, or here when there is none) then draws its labels,
+        applies the affine map and, with ``reduce``, writes ``reduce`` of the
+        (k, n) block, k values, into the result.  Without ``reduce`` the
+        blocks are drawn straight into the (B, m, n) result; with it they
+        rotate through ``_BLOCK_BUFFERS`` reused buffers, so no more than
+        that many blocks of datasets exist at once.  Once a task fails, the
+        later tasks do nothing, and the error is raised here.
 
         If ``rng`` can jump exactly (``_labels_can_jump``), the labels are
-        drawn chunk by chunk from a copy of ``rng``'s state while ``rng``
-        jumps past the B*m*n uniforms, and this thread draws only the
-        normals; with a helper thread (``statistics.helper``) the labels are
-        drawn there.  Any other generator draws every label first, into a
-        (B, m, n) bool array.  With a helper, the affine map of each block but
-        a chunk's last also runs on it while this thread draws the next
-        normals.  Either way every value and ``rng``'s final state are the
-        same bits as the one-shot draws.
+        drawn block by block from a copy of ``rng``'s state while ``rng``
+        jumps past the B*m*n uniforms.  Any other generator draws every label
+        here first, into a (B*m, n) bool array.  Either way every value and
+        ``rng``'s final state are the same bits as the one-shot draws.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
-        b, size = thetas.shape[0], m * n
-        if b * size == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
+        b, sets = thetas.shape[0], thetas.shape[0] * m
+        if sets * n == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
             empty = np.empty((b, m, n))
             return empty if reduce is None else reduce(empty)
-        step = rows_per_block(size)
-        rows = b if reduce is None else min(b, step * max(1, CHUNK_ELEMENTS // (step * size)))
         # row r's (s, mu) of component 2 sits at 2r, that of component 1 at 2r + 1
         sd, mean = np.exp(thetas[:, [3, 1]]).ravel(), thetas[:, [2, 0]].ravel()
-        buf = np.empty((rows, m, n))
-        u = np.empty((min(b, step), m, n))  # one block of label uniforms, reused
-
-        def labels(gen, pick):
-            for b0, b1 in row_blocks(len(pick), size):
-                np.less(gen.random(out=u[: b1 - b0]), self.p, out=pick[b0:b1])
-
-        def affine(z, pick, r0):
-            at = np.add(pick, 2 * np.arange(r0, r0 + len(z))[:, None, None])
-            z *= sd.take(at)
-            z += mean.take(at)
-
+        shape = (min(sets, rows_per_block(n)), n)
+        u = np.empty(shape)  # a block's label uniforms; the tasks run one at a time
+        at = np.empty(shape, dtype=np.intp)  # a block's table index 2 r + label
         if _labels_can_jump(rng.bit_generator):
             labels_rng = np.random.Generator(type(rng.bit_generator)())
             labels_rng.bit_generator.state = rng.bit_generator.state
-            rng.bit_generator.advance(b * size)
-            pick_buf, picks = np.empty(buf.shape, dtype=bool), None
+            rng.bit_generator.advance(sets * n)
+            pick_buf, picks = np.empty(shape, dtype=bool), None
         else:
-            picks = np.empty((b, m, n), dtype=bool)
-            labels(rng, picks)
-        out = np.empty((b, m)) if rows < b else None
-        for c0 in range(0, b, rows):
-            c1 = min(b, c0 + rows)
-            x = buf[: c1 - c0]
-            if picks is None:
-                pick = pick_buf[: c1 - c0]
-                labels_task = beside(labels, labels_rng, pick)  # None when drawn here
-            else:
-                pick, labels_task = picks[c0:c1], None
-            pending = [labels_task]
+            picks = np.empty((sets, n), dtype=bool)
+            for d0, d1 in row_blocks(sets, n):
+                np.less(rng.random(out=u[: d1 - d0]), self.p, out=picks[d0:d1])
+        if reduce is None:
+            data = np.empty((sets, n))
+        else:
+            out = np.empty(sets)
+            bufs = [np.empty(shape) for _ in range(_BLOCK_BUFFERS)]
+        failed = []
+
+        def finish(z, d0):
+            if failed:
+                return
             try:
-                blocks = list(row_blocks(c1 - c0, size))
-                for i, (b0, b1) in enumerate(blocks):
-                    rng.standard_normal(out=x[b0:b1])
-                    if i + 1 < len(blocks):
-                        pending.append(beside(affine, x[b0:b1], pick[b0:b1], c0 + b0))
-                    else:
-                        wait([labels_task])
-                        affine(x[b0:b1], pick[b0:b1], c0 + b0)
-            finally:
-                wait(pending)
-            r = x if reduce is None else reduce(x)
-            if out is None:  # one chunk: its result is the whole result
-                return r
-            out[c0:c1] = r
-        return out
+                k = len(z)
+                if picks is None:
+                    pick = np.less(labels_rng.random(out=u[:k]), self.p, out=pick_buf[:k])
+                else:
+                    pick = picks[d0 : d0 + k]
+                np.add(pick, 2 * (np.arange(d0, d0 + k) // m)[:, None], out=at[:k])
+                z *= sd.take(at[:k])
+                z += mean.take(at[:k])
+                if reduce is not None:
+                    out[d0 : d0 + k] = reduce(z)
+            except BaseException:
+                failed.append(True)
+                raise
+
+        pending = deque()
+        try:
+            for i, (d0, d1) in enumerate(row_blocks(sets, n)):
+                if len(pending) == _BLOCK_BUFFERS:
+                    wait([pending.popleft()])  # with reduce: the task of the block that last used this buffer
+                z = data[d0:d1] if reduce is None else bufs[i % _BLOCK_BUFFERS][: d1 - d0]
+                rng.standard_normal(out=z)
+                pending.append(beside(finish, z, d0))
+        finally:
+            wait(pending)
+        return data.reshape(b, m, n) if reduce is None else out.reshape(b, m)
 
 
 def _labels_can_jump(bit_generator) -> bool:

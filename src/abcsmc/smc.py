@@ -44,8 +44,8 @@ from .statistics import (
 
 
 # Raw simulated values per replicate chunk of simulate_distances (160 MB of float64).  The chunks
-# fix the random stream for large M; the mixture streams each one through the statistic in row
-# chunks of about 2^20 values (``models.CHUNK_ELEMENTS``), the other simulators build it whole.
+# fix the random stream for large M; the mixture streams each one through the statistic in blocks
+# of at most ``statistics.BLOCK_ELEMENTS`` values, the other simulators build it whole.
 MAX_SIM_ELEMENTS = 20_000_000
 # Most snapshots a run with store_snapshots keeps (``_thin_snapshots``)
 SNAPSHOT_MAX = 200

@@ -10,9 +10,9 @@ refresh correction of the sampler is built from, is derived from it as
 ``logsumexp(log_k(d, param), axis=-1)``; for the uniform kernel that is the
 log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
 
-The moment and indicator summaries, and the mixture simulator's labels and
-affine map, can run part of their work on one helper thread (``beside``)
-while the calling thread works on the rest; see ``helper``.
+The mixture simulator runs each block's labels, affine map and reduction
+(summary, then distance) on one helper thread (``beside``) while the calling
+thread draws the next block's normals; see ``helper``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ BLOCK_ELEMENTS = 1 << 16  # elements per row block of the simulate and summarise
 _use_helper: bool | None = None  # None until the first call of ``helper`` decides from the CPU count
 _helper_pool = None
 _helper_lock = threading.Lock()
+_on_helper = threading.local()  # ``flag`` is set on the helper thread only
 
 
 def _cpus() -> int:
@@ -57,9 +58,10 @@ def helper():
 
     It is used only when this process may run on at least 2 CPUs, and it is
     started on first use (``concurrent.futures`` is imported then, not with
-    the package).  A forked child starts its own.  Its tasks give the same
-    bits with or without it: the summaries and the affine map use no random
-    numbers, and the mixture's labels are drawn from a private copy of the
+    the package).  A forked child starts its own.  It runs the tasks of every
+    caller one at a time, in the order they were started.  They give the same
+    bits with or without it: the mixture's affine map and its ``reduce`` use
+    no random numbers, and its labels are drawn from a private copy of the
     caller's generator, which jumps past them exactly
     (``models.MixtureModel.simulate_batch``).
     """
@@ -72,18 +74,24 @@ def helper():
         if _helper_pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="abcsmc-helper")
+            _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="abcsmc-helper", initializer=_mark_helper)
         return _helper_pool
+
+
+def _mark_helper():
+    _on_helper.flag = True
 
 
 def beside(fn, *args):
     """Start ``fn(*args)`` on the helper thread and return its future; without a helper, run it now and return None.
 
     The task runs in a copy of the caller's ``contextvars`` context, so the
-    caller's ``np.errstate`` applies to it.
+    caller's ``np.errstate`` applies to it.  Called on the helper thread
+    itself, it also runs ``fn`` now: queued behind the running task, which
+    may wait for it, ``fn`` would never start.
     """
     pool = helper()
-    if pool is None:
+    if pool is None or getattr(_on_helper, "flag", False):
         fn(*args)
         return None
     return pool.submit(contextvars.copy_context().run, fn, *args)
@@ -220,28 +228,10 @@ def _feature_means(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
     of the same values as the one-shot formula's ``v.mean()``, which is that
     sum divided by n, and each indicator mean is its exact count over n, so
     the result is the same bits.
-    When the rows fill more than one block, the helper thread takes the
-    first half of them and the calling thread the rest, each with its own
-    buffers; a row's features do not depend on the rows beside it.
     """
     n = data.shape[-1]
     rows = data.reshape(-1, n)
     feats = np.empty((rows.shape[0], spec.dim()))
-    mid = rows.shape[0] // 2 if rows.shape[0] > rows_per_block(n) and helper() is not None else 0
-    pending = [beside(_fill_features, spec, rows[:mid], feats[:mid])] if mid else []
-    try:
-        _fill_features(spec, rows[mid:], feats[mid:])
-    finally:
-        wait(pending)
-    if spec.normalize:
-        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
-        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
-    return feats.reshape(data.shape[:-1] + (feats.shape[1],))
-
-
-def _fill_features(spec: SummarySpec, rows: np.ndarray, feats: np.ndarray):
-    """Write the feature means of each row of ``rows`` into that row of ``feats``, one row block at a time."""
-    n = rows.shape[1]
     buf_rows = min(rows.shape[0], rows_per_block(n))
     x_buf, x2_buf, xk_buf = np.empty((3, buf_rows, n))
     flag_buf = np.empty((buf_rows, n), dtype=bool)
@@ -261,6 +251,10 @@ def _fill_features(spec: SummarySpec, rows: np.ndarray, feats: np.ndarray):
             out[:, 3] = np.add.reduce(np.multiply(x2, x2, out=xk_buf[:k]), axis=-1) / n
             out[:, 4] = np.count_nonzero(np.less(x, -1.0, out=flag), axis=-1) / n
             out[:, 5] = np.count_nonzero(np.greater(x, 2.0, out=flag), axis=-1) / n
+    if spec.normalize:
+        c = max(abs(spec.clamp[0]), abs(spec.clamp[1]))
+        feats /= np.array([c, c**2, c**3, c**4, 1.0, 1.0])
+    return feats.reshape(data.shape[:-1] + (feats.shape[1],))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
-"""The helper thread changes no bit: the mixture simulator and the moment and
-indicator summaries give the same arrays, and leave the generator in the same
-state, whether their work is split with the helper thread or not, and whether
-the mixture's labels come from a jumped copy of the generator or not."""
+"""The helper thread changes no bit: the mixture simulator gives the same
+arrays, and leaves the generator in the same state, whether its block tasks
+(labels, affine map, reduce) run on the helper thread or on the caller's, and
+whether its labels come from a jumped copy of the generator or not.  The
+moment and indicator summaries, which those tasks run, give the same bits on
+either thread."""
 
 import os
 import pickle
 import select
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -97,14 +100,14 @@ def test_mixture_without_draws_is_empty_and_consumes_nothing(monkeypatch, on, m,
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-clamp{s.clamp is not None}-norm{s.normalize}")
 @pytest.mark.parametrize("rows", SUMMARY_SIZES)
 def test_summary_same_bits(monkeypatch, spec, rows):
+    """A summary computed on the helper thread, as the mixture's ``reduce`` is, equals one computed here."""
     data = np.random.default_rng(rows).standard_t(3, size=(rows, N_OBS)) * 2.0
     data = data.reshape(-1, 1, N_OBS) if rows % 2 else data  # a batch axis changes no value
     before = data.copy()
-    with_helper(monkeypatch, False)
-    off = summarize_batch(spec, data)
     with_helper(monkeypatch, True)
-    on = summarize_batch(spec, data)
-    assert np.array_equal(on, off)
+    here = summarize_batch(spec, data)
+    there = statistics.helper().submit(summarize_batch, spec, data).result(timeout=60.0)
+    assert np.array_equal(there, here)
     assert np.array_equal(data, before)  # the input is never written
 
 
@@ -164,14 +167,19 @@ def test_forked_child_gets_the_same_distances(monkeypatch):
 
 
 def test_concurrent_callers_share_the_helper(monkeypatch):
-    """Four caller threads at once, on a helper started by the first of them, get their own bits."""
+    """Four caller threads at once through ``simulate_distances``, on a helper started by the first of them.
+
+    Their block tasks interleave on the helper's one queue; each caller
+    still gets its own bits.
+    """
     monkeypatch.setattr(statistics, "_use_helper", True)
     monkeypatch.setattr(statistics, "_helper_pool", None)
     spec = SPECS[0]
+    obs_stats = summarize_batch(spec, np.linspace(-2.0, 3.0, N_OBS))
 
     def work(seed):
         rng = np.random.default_rng(seed)
-        return summarize_batch(spec, MixtureModel().simulate_batch(particles(3 * ROWS), N_OBS, M, rng))
+        return simulate_distances(MixtureModel(), particles(3 * ROWS), N_OBS, M, rng, spec, DistanceSpec(), obs_stats)
 
     expected = {seed: work(seed) for seed in range(4)}
     monkeypatch.setattr(statistics, "_helper_pool", None)  # the threads race to start it
@@ -189,3 +197,55 @@ def test_concurrent_callers_share_the_helper(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for seed in range(4):
         assert np.array_equal(got[seed], expected[seed])
+
+
+def in_thread(fn, timeout=120.0):
+    """``fn()`` on a fresh thread, joined with a timeout, so a deadlock fails the test instead of hanging it."""
+    result = Future()
+
+    def target():
+        try:
+            result.set_result(fn())
+        except BaseException as err:  # handed to the test's thread
+            result.set_exception(err)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no result within {timeout} s"
+    return result.result(timeout=0)
+
+
+def test_beside_on_the_helper_runs_the_task_there(monkeypatch):
+    """A task that starts a task and waits for it: queued behind itself, the inner one would never start."""
+    with_helper(monkeypatch, True)
+    ran_on = []
+
+    def inner():
+        ran_on.append(threading.current_thread())
+
+    def outer():
+        fut = statistics.beside(inner)
+        if fut is not None:
+            fut.result(timeout=10.0)  # raises TimeoutError rather than blocking the helper for good
+        return threading.current_thread()
+
+    helper_thread = in_thread(lambda: statistics.helper().submit(outer).result())
+    assert ran_on == [helper_thread]
+
+
+def test_reduce_that_simulates_on_the_helper(monkeypatch):
+    """A ``reduce`` that calls the mixture simulator, which runs on the helper thread, gets the caller's bits."""
+    model = MixtureModel()
+
+    def reduce(sims):
+        inner = model.simulate_batch(particles(2), N_OBS, M, np.random.default_rng(len(sims)))
+        return sims.sum(axis=-1) + inner.sum()
+
+    def run():
+        return model.simulate_batch(particles(2 * ROWS + 1), N_OBS, M, np.random.default_rng(5), reduce)
+
+    with_helper(monkeypatch, False)
+    expected = run()
+    with_helper(monkeypatch, True)
+    assert np.array_equal(in_thread(run), expected)

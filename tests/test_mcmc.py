@@ -181,7 +181,10 @@ class TestRejuvenate:
 
 
 def copyto_rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
-    """``rejuvenate`` with a masked ``np.copyto`` per array: the reference for its indexed copy."""
+    """``rejuvenate`` with a masked ``np.copyto`` per array and each proposal's prior found from its value.
+
+    The reference for its indexed copy and for its atom proposals' prior, read off the drawn index.
+    """
     n, m = system.dists.shape
     atoms = model.theta_atoms
     log_prior = model.prior_logpdf_batch(system.theta)

@@ -11,7 +11,6 @@ from scipy import stats as sps
 from abcsmc import models, statistics
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError, InvalidParameterError
 from abcsmc.models import (
-    CHUNK_ELEMENTS,
     DiscreteToyModel,
     GaussianLocationModel,
     MixtureModel,
@@ -26,6 +25,7 @@ from abcsmc.statistics import (
     SummarySpec,
     UniformKernel,
     distance_batch,
+    rows_per_block,
     summarize,
     summarize_batch,
 )
@@ -235,22 +235,23 @@ class TestStreamedReduce:
 
     @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
     @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
-    @pytest.mark.parametrize("m", [1, 3, 256])
-    def test_row_chunks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, on):
+    @pytest.mark.parametrize("m", [1, 3, 256, 1024])
+    def test_blocks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, on):
+        """At m=1024 a particle's datasets span two blocks or more."""
         monkeypatch.setattr(statistics, "_use_helper", on)
         n = 90
-        b = int(2.3 * CHUNK_ELEMENTS) // (m * n)  # two full row chunks and a short one
+        b = max(3, int(3.3 * rows_per_block(n)) // m)  # three full blocks and a short one, or more
         model = MixtureModel(p=0.7)
         thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(m), b)
         rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
-        chunks = []
+        blocks = []
 
         def reduce(sims):
-            chunks.append(len(sims))
+            blocks.append(len(sims))
             return stream_reduce(sims)
 
         got = model.simulate_batch(thetas, n, m, rng, reduce)
-        assert len(chunks) == 3 and chunks[0] == chunks[1] > chunks[2] and sum(chunks) == b
+        assert len(blocks) >= 4 and max(blocks) <= rows_per_block(n) and sum(blocks) == b * m
         assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, n, m, ref)))
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
@@ -283,13 +284,15 @@ class TestStreamedReduce:
             assert np.array_equal(got, model.simulate_batch(thetas, n, 3, np.random.default_rng(1)).sum(axis=-1))
 
     @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
-    @pytest.mark.parametrize("fail_at", [1, 2])
+    @pytest.mark.parametrize("fail_at", [1, 2, 5])
     def test_a_failing_reduce_propagates_and_leaves_no_task_running(self, monkeypatch, on, fail_at):
+        """The blocks queued behind the failing one call ``reduce`` no more."""
         monkeypatch.setattr(statistics, "_use_helper", on)
         tasks = []
 
         def spy(fn, *args):
-            tasks.append(statistics.beside(fn, *args))
+            tasks.append(None)  # stays None for a task that runs here, also one that raises
+            tasks[-1] = statistics.beside(fn, *args)
             return tasks[-1]
 
         monkeypatch.setattr(models, "beside", spy)
@@ -308,8 +311,8 @@ class TestStreamedReduce:
         assert tasks and all(t is None or t.done() for t in tasks)
         assert any(t is not None for t in tasks) == on
 
-    def test_memory_holds_one_row_chunk(self):
-        """N=500, M=256, n=90: the datasets alone would be 88 MiB; one row chunk is 8 MiB."""
+    def test_memory_holds_a_few_blocks(self):
+        """N=500, M=256, n=90: the datasets alone would be 88 MiB; a block is 0.5 MiB, the (N, M) distances 1 MiB."""
         thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 500)
         rng = np.random.default_rng(1)
         tracemalloc.start()
@@ -318,7 +321,7 @@ class TestStreamedReduce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestGaussianLocationModel:

@@ -15,11 +15,12 @@ counts as identical only if both sides exit 0, both write ``trace.csv``,
 and both write the same files with the same bytes, except
 ``summary.json``'s ``wall_time_s``.  One line is printed per run.
 
-The ``mixture-adaptive-m`` workload then runs once more per checkout, in a
-child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
+The runs of ``PINNED_RUNS`` (the moment statistic of ``mixture-adaptive-m``
+and the indicator statistic of ``exp3``) then run once more per checkout, in
+a child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
 the package starts no helper thread; both pinned runs must write the same
 bytes as the base's unpinned run.  Where the platform has no
-``sched_setaffinity`` this line reads ``skipped``.
+``sched_setaffinity`` these lines read ``skipped``.
 
 Then ``abcsmc experiment exp1|exp2|exp3 --seeds 7`` runs once per checkout,
 shrunk by ``EXPERIMENT_OVERRIDES``, and every CSV it writes is compared byte
@@ -91,7 +92,7 @@ PRESET_RUNS = [
     ),
     ("exp1-lambda4", "exp1", ["smc.lambda_target=4"]),
     # an M past MAX_SIM_ELEMENTS: one simulate_distances call makes replicate chunks of 2222 and 78,
-    # and the mixture streams each through the statistic in row chunks
+    # and the mixture streams each through the statistic in blocks that a particle's datasets span
     ("exp1-two-replicate-chunks", "exp1", ["smc.n_particles=100", 'smc.m_schedule={"1": 2300, "2": 8}']),
 ]
 
@@ -125,8 +126,8 @@ EXPERIMENTS = ["exp1", "exp2", "exp3"]
 EXPERIMENT_OVERRIDES = ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16", "smc.mcmc_steps=2"]
 
 
-# the workload run again on one CPU, so without the helper thread
-PINNED_RUN = "mixture-adaptive-m"
+# the runs made again on one CPU, so without the helper thread: both mixture statistics
+PINNED_RUNS = ["mixture-adaptive-m", "exp3"]
 
 
 def cli_once(checkout: Path, argv: list[str], out: Path, one_cpu: bool = False) -> tuple[int, float]:
@@ -233,11 +234,11 @@ def main(argv=None) -> int:
         )
     print(f"{len(all_runs) - failed}/{len(all_runs)} runs identical at seed {SEED}")
 
-    name, args = next(run for run in all_runs if run[0] == PINNED_RUN)
-    pinned = f"{name}-1cpu"
-    if not hasattr(os, "sched_setaffinity"):
-        print(f"{'skipped':<24} {pinned}", flush=True)
-    else:
+    for name, args in (run for run in all_runs if run[0] in PINNED_RUNS):
+        pinned = f"{name}-1cpu"
+        if not hasattr(os, "sched_setaffinity"):
+            print(f"{'skipped':<24} {pinned}", flush=True)
+            continue
         codes, secs = {}, {}
         for side, checkout in checkouts.items():
             out = work / side / pinned
