@@ -82,10 +82,13 @@ def simulate_distances(
     def reduce(sims):
         return distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
 
-    out = np.empty((n_particles, m))
-    for j0 in range(0, m, chunk):
-        j1 = min(m, j0 + chunk)
-        out[:, j0:j1] = model.simulate_batch(theta, n_obs, j1 - j0, rng, reduce)
+    if chunk >= m:  # one chunk: its distances are the result, without a copy
+        out = model.simulate_batch(theta, n_obs, m, rng, reduce)
+    else:
+        out = np.empty((n_particles, m))
+        for j0 in range(0, m, chunk):
+            j1 = min(m, j0 + chunk)
+            out[:, j0:j1] = model.simulate_batch(theta, n_obs, j1 - j0, rng, reduce)
     out[np.isnan(out)] = math.inf
     return out
 
@@ -531,7 +534,11 @@ def _reweight_resample(system: ParticleSystem, lam_new: float, kernel, rng, resa
 
 
 def _move(system: ParticleSystem, model, simulate, kernel, rng, k_steps: int) -> float:
-    """K MCMC sweeps, the proposal calibrated on the particles; returns the acceptance rate (1 without sweeps)."""
+    """K MCMC sweeps, the proposal calibrated on the particles.
+
+    Returns the acceptance among the simulated proposals (``mcmc.rejuvenate``;
+    1 without sweeps), which the M rule reads and the trace records.
+    """
     if k_steps == 0:
         return 1.0
     chol = mcmc.calibrate(system.theta) if model.theta_atoms is None else None

@@ -22,7 +22,7 @@ from abcsmc.bounds import (
     mcdiarmid_f,
     nonparametric_rate,
 )
-from abcsmc.mcmc import mh_log_ratio
+from abcsmc.mcmc import stage_log_accept
 from abcsmc.models import DiscreteToyModel
 from abcsmc.smc import (
     ExponentialKernel,
@@ -211,18 +211,19 @@ def test_criterion_04_bisection_contract():
 
 
 def test_criterion_05_mh_correctness():
-    # the MH log ratio that rejuvenate applies, on each state's log kernel sum
-    def log_ratio(dc, dp, lam, lpc, lpp):
-        return float(
-            mh_log_ratio(
-                ExponentialKernel.log_sum(np.asarray(dc, dtype=float), lam),
-                ExponentialKernel.log_sum(np.asarray(dp, dtype=float), lam),
-                lpc,
-                lpp,
-            )
-        )
+    # the two-stage log acceptance that rejuvenate applies: stage_log_accept of
+    # the prior densities plus that of each state's log kernel sum.  The
+    # mutant applies the prior ratio in both stages, and must be caught.
+    def log_accept(dc, dp, lam, lpc, lpp, prior_in_both=False):
+        log_alpha = stage_log_accept(np.array([lpc]), np.array([lpp]))
+        lkc = ExponentialKernel.log_sum(np.asarray([dc], dtype=float), lam)
+        lkp = ExponentialKernel.log_sum(np.asarray([dp], dtype=float), lam)
+        if prior_in_both:
+            lkc, lkp = lkc + lpc, lkp + lpp
+        log_alpha += stage_log_accept(lkc, lkp)
+        return float(log_alpha[0])
 
-    # (a) acceptance ratio vs naive summation on 1000 random inputs
+    # (a) acceptance vs naive summation on 1000 random inputs
     rng = np.random.default_rng(5)
     worst_ratio = 0.0
     for _ in range(1000):
@@ -230,12 +231,11 @@ def test_criterion_05_mh_correctness():
         dc, dp = rng.exponential(size=m), rng.exponential(size=m)
         lam = float(rng.uniform(0, 5))
         lpc, lpp = rng.normal(size=2)
-        naive = (
-            math.log(sum(math.exp(-lam * d) for d in dp))
-            - math.log(sum(math.exp(-lam * d) for d in dc))
-            + lpp - lpc
+        naive = min(0.0, lpp - lpc) + min(
+            0.0,
+            math.log(sum(math.exp(-lam * d) for d in dp)) - math.log(sum(math.exp(-lam * d) for d in dc)),
         )
-        worst_ratio = max(worst_ratio, abs(log_ratio(dc, dp, lam, lpc, lpp) - naive))
+        worst_ratio = max(worst_ratio, abs(log_accept(dc, dp, lam, lpc, lpp) - naive))
 
     # (b) exact detailed balance of the 2-atom joint chain
     model = DiscreteToyModel.from_obs_probs(
@@ -258,16 +258,20 @@ def test_criterion_05_mh_correctness():
     states = [(i, x) for i in range(2) for x in range(len(datasets))]
     mu = np.array([prior[i] * lik[i][x] * math.exp(-lam * dvec[x]) for i, x in states])
     mu /= mu.sum()
-    trans = np.zeros((len(states), len(states)))
-    for a, (i, x) in enumerate(states):
-        for b, (j, xp) in enumerate(states):
-            ratio = log_ratio([dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j]))
-            trans[a, b] += 0.5 * lik[j][xp] * min(1.0, math.exp(min(ratio, 0.0)))
-        trans[a, a] += 1.0 - trans[a].sum()
-    flow = mu[:, None] * trans
-    db_err = float(np.abs(flow - flow.T).max())
-    ok = worst_ratio <= 1e-12 and db_err <= 1e-12
-    _report(5, ok, f"ratio vs naive: max err = {worst_ratio:.2e} (<= 1e-12); detailed-balance flow asymmetry = {db_err:.2e} (<= 1e-12)")
+
+    def flow_asymmetry(prior_in_both):
+        trans = np.zeros((len(states), len(states)))
+        for a, (i, x) in enumerate(states):
+            for b, (j, xp) in enumerate(states):
+                la = log_accept([dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j]), prior_in_both)
+                trans[a, b] += 0.5 * lik[j][xp] * math.exp(la)
+            trans[a, a] += 1.0 - trans[a].sum()
+        flow = mu[:, None] * trans
+        return float(np.abs(flow - flow.T).max())
+
+    db_err, mutant_err = flow_asymmetry(False), flow_asymmetry(True)
+    ok = worst_ratio <= 1e-12 and db_err <= 1e-12 and mutant_err > 1e-6
+    _report(5, ok, f"two-stage acceptance vs naive: max err = {worst_ratio:.2e} (<= 1e-12); detailed-balance flow asymmetry = {db_err:.2e} (<= 1e-12); prior in both stages = {mutant_err:.2e} (> 1e-6)")
 
 
 def test_criterion_06_gibbs_refresh_marginal():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abcsmc.exceptions import InvalidInputError
-from abcsmc.mcmc import calibrate, mh_log_ratio, rejuvenate
+from abcsmc.mcmc import calibrate, rejuvenate, stage_log_accept
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ExponentialKernel, ParticleSystem, simulator
 from abcsmc.statistics import DistanceSpec, SummarySpec
@@ -38,19 +38,20 @@ class TestCalibrate:
             calibrate(np.zeros(5))
 
 
-def pair_log_ratio(dists_current, dists_proposal, lam, log_prior_current, log_prior_proposal):
-    """The MH log ratio ``rejuvenate`` uses, for one pair of states and their replicate distances."""
-    return float(
-        mh_log_ratio(
-            ExponentialKernel.log_sum(np.asarray(dists_current, dtype=float), lam),
-            ExponentialKernel.log_sum(np.asarray(dists_proposal, dtype=float), lam),
-            log_prior_current,
-            log_prior_proposal,
-        )
+def pair_log_accept(dists_current, dists_proposal, lam, log_prior_current, log_prior_proposal):
+    """The two-stage log acceptance ``rejuvenate`` applies, for one pair of states and their replicate distances.
+
+    ``stage_log_accept`` of the prior densities plus that of the log kernel sums.
+    """
+    log_alpha = stage_log_accept(np.array([log_prior_current]), np.array([log_prior_proposal]))
+    log_alpha += stage_log_accept(
+        ExponentialKernel.log_sum(np.asarray([dists_current], dtype=float), lam),
+        ExponentialKernel.log_sum(np.asarray([dists_proposal], dtype=float), lam),
     )
+    return float(log_alpha[0])
 
 
-class TestLogAcceptanceRatio:
+class TestStageLogAccept:
     def test_matches_naive_on_random_inputs(self, rng):
         for _ in range(1000):
             m = int(rng.integers(1, 6))
@@ -59,29 +60,27 @@ class TestLogAcceptanceRatio:
             lam = float(rng.uniform(0.0, 5.0))
             lpc = float(rng.normal())
             lpp = float(rng.normal())
-            naive = (
-                math.log(np.exp(-lam * dp).sum())
-                - math.log(np.exp(-lam * dc).sum())
-                + lpp
-                - lpc
+            naive = min(0.0, lpp - lpc) + min(
+                0.0, math.log(np.exp(-lam * dp).sum()) - math.log(np.exp(-lam * dc).sum())
             )
-            got = pair_log_ratio(dc, dp, lam, lpc, lpp)
+            got = pair_log_accept(dc, dp, lam, lpc, lpp)
             assert got == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
     def test_out_of_support_proposal(self):
-        assert pair_log_ratio([1.0], [0.5], 1.0, 0.0, -np.inf) == -np.inf
+        assert pair_log_accept([1.0], [0.5], 1.0, 0.0, -np.inf) == -np.inf
 
     def test_both_states_out_of_support_rejects(self):
-        # -inf - (-inf) is undefined; the move must be rejected, not NaN
-        assert pair_log_ratio([1.0], [0.5], 1.0, -np.inf, -np.inf) == -np.inf
+        # -inf - (-inf) is undefined: no uniform may accept the move
+        value = pair_log_accept([1.0], [0.5], 1.0, -np.inf, -np.inf)
+        assert not np.any(np.log(np.linspace(1e-300, 1.0, 101)) < value)
 
 
 class TestRejuvenate:
     def test_exact_detailed_balance_on_finite_joint_chain(self):
         # the joint state (parameter atom, replicate dataset) is finite for
         # the discrete model, so the one-sweep transition matrix implied by
-        # the acceptance rule can be written down exactly and checked against
-        # the joint target pi(theta) * p(x | theta) * e^(-lam d(x, y))
+        # the two-stage acceptance rule can be written down exactly and
+        # checked against the joint target pi(theta) * p(x | theta) * e^(-lam d(x, y))
         model = small_discrete_model()
         summary = SummarySpec(kind="identity")
         dist_spec = DistanceSpec(kind="lp", p=1)
@@ -106,14 +105,13 @@ class TestRejuvenate:
         trans = np.zeros((len(states), len(states)))
         for a, (i, x) in enumerate(states):
             for b, (j, xp) in enumerate(states):
-                ratio = pair_log_ratio(
+                alpha = math.exp(pair_log_accept(
                     [dvec[x]],
                     [dvec[xp]],
                     lam,
                     math.log(model.prior_weights[i]),
                     math.log(model.prior_weights[j]),
-                )
-                alpha = min(1.0, math.exp(min(ratio, 0.0)))
+                ))
                 trans[a, b] += (1.0 / n_atoms) * model.likelihood[j, xp] * alpha
             trans[a, a] += 1.0 - trans[a].sum()
 
@@ -172,8 +170,16 @@ class TestRejuvenate:
             log_z=0.0,
         )
         chol = calibrate(theta)
-        rate, sims = rejuvenate(system, model, simulate, ExponentialKernel, rng, chol, k)
-        assert sims == n * k * m
+        rows = []
+
+        def spy(theta, m):
+            rows.append(theta.shape[0])
+            return simulate(theta, m)
+
+        rate, sims = rejuvenate(system, model, spy, ExponentialKernel, rng, chol, k)
+        # one call per sweep, on the proposals that pass the prior stage: some, not all
+        assert len(rows) == k and 0 < sum(rows) < n * k
+        assert sims == sum(rows) * m
         assert 0.0 < rate < 1.0
         assert not np.array_equal(system.theta, theta)
         # never accepts a prior-impossible state; all thetas remain finite
@@ -181,30 +187,40 @@ class TestRejuvenate:
 
 
 def copyto_rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
-    """``rejuvenate`` with a masked ``np.copyto`` per array and each proposal's prior found from its value.
+    """``rejuvenate`` with boolean masks, a masked ``np.copyto`` per array and each proposal's prior found from its value.
 
-    The reference for its indexed copy and for its atom proposals' prior, read off the drawn index.
+    The reference for its index arithmetic (screened rows, then accepted
+    ones among them) and for its atom proposals' prior, read off the drawn index.
     """
     n, m = system.dists.shape
     atoms = model.theta_atoms
     log_prior = model.prior_logpdf_batch(system.theta)
     log_kern = kernel.log_sum(system.dists, system.lam)
-    accepts = 0
+    accepts = simulated = 0
     for _ in range(k_steps):
         if atoms is not None:
             prop = atoms[rng.integers(0, len(atoms), size=n)]
         else:
             prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
         lp_prop = model.prior_logpdf_batch(prop)
-        d_prop = simulate(prop, m)
-        lk_prop = kernel.log_sum(d_prop, system.lam)
-        acc = np.log(rng.random(n)) < mh_log_ratio(log_kern, lk_prop, log_prior, lp_prop)
+        log_u = np.log(rng.random(n))
+        log_alpha = stage_log_accept(log_prior, lp_prop)
+        screened = log_u < log_alpha
+        d_prop = np.full((n, m), np.nan)
+        lk_prop = np.full(n, np.nan)
+        d_prop[screened] = simulate(prop[screened], m)
+        lk_prop[screened] = kernel.log_sum(d_prop[screened], system.lam)
+        acc = screened.copy()
+        acc[screened] = log_u[screened] < log_alpha[screened] + stage_log_accept(
+            log_kern[screened], lk_prop[screened]
+        )
         np.copyto(system.theta, prop, where=acc[:, None])
         np.copyto(system.dists, d_prop, where=acc[:, None])
         np.copyto(log_prior, lp_prop, where=acc)
         np.copyto(log_kern, lk_prop, where=acc)
         accepts += int(acc.sum())
-    return accepts / (n * k_steps), n * k_steps * m
+        simulated += int(screened.sum())
+    return (accepts / simulated if simulated else 1.0), simulated * m
 
 
 def sweep_case(case, rng):

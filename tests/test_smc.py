@@ -432,6 +432,33 @@ class TestSimulateDistances:
         assert d.shape == (13, 9)
         assert np.all(np.isfinite(d)) and np.all(d >= 0)
 
+    @pytest.mark.parametrize("model", [GaussianLocationModel(), small_discrete_model()], ids=["gaussian", "discrete"])
+    def test_one_chunk_gives_the_chunked_bits(self, monkeypatch, model):
+        # the one-chunk path returns simulate_batch's result itself; with one
+        # particle the replicates follow one another in the stream however the
+        # chunks cut them, so both paths must give the same bits, NaN made +inf
+        def with_nan(spec, stats, observed):
+            d = distance_batch(spec, stats, observed)
+            d[d > 1.0] = np.nan
+            return d
+
+        monkeypatch.setattr(smc, "distance_batch", with_nan)
+        summary = SummarySpec(kind="mean") if model.theta_atoms is None else SummarySpec(kind="identity")
+        theta = model.prior_sample(np.random.default_rng(0), 1)
+        obs_stats = np.array([0.3]) if model.theta_atoms is None else np.array([0.0, 2.0])
+        n_obs = 1 if model.theta_atoms is None else 2
+        ends = []
+        for limit in (smc.MAX_SIM_ELEMENTS, 2 * n_obs):  # one chunk of 9, then chunks of 2
+            monkeypatch.setattr(smc, "MAX_SIM_ELEMENTS", limit)
+            with mock.patch.object(type(model), "simulate_batch", autospec=True,
+                                   side_effect=type(model).simulate_batch) as batch:
+                d = simulate_distances(model, theta, n_obs, 9, np.random.default_rng(4), summary, DistanceSpec(), obs_stats)
+            ends.append((d, [c.args[3] for c in batch.call_args_list]))
+        (one, one_calls), (chunked, chunked_calls) = ends
+        assert one_calls == [9] and chunked_calls == [2, 2, 2, 2, 1]
+        assert_same_bits(one, chunked)
+        assert one.shape == (1, 9) and np.any(np.isinf(one)) and not np.any(np.isnan(one))
+
     def test_unclamped_mean_draws_the_sample_mean_exactly(self):
         # the Gaussian sample mean is drawn as theta + (sd / sqrt(n)) z, one
         # standard normal per replicate
@@ -539,7 +566,7 @@ class TestRunSMC:
             cfgmod.build_smc_config(cfg, 0),
             n_particles=300,
             kernel="uniform",
-            eps_target=0.02,
+            eps_target=0.0,
             lambda_target=None,
             max_steps=300,
             on_stall="stop",
@@ -724,6 +751,37 @@ class TestRunSMC:
         ms = [1] + [r.m for r in trace.records]
         assert mh.call_count == len(trace) and ref.call_count == sum(a != b for a, b in zip(ms, ms[1:])) >= 1
         assert sum(c.args[1].shape[0] * c.args[3] for c in sim.call_args_list) == system.sim_calls
+
+    def test_proposals_outside_the_prior_are_never_simulated(self, monkeypatch):
+        # the middle atom has prior weight 0: the prior stage rejects every
+        # proposal there before anything is simulated for it
+        model = DiscreteToyModel.from_obs_probs(
+            theta_values=[0.0, 1.0, 2.0],
+            prior_weights=[0.5, 0.0, 0.5],
+            obs_values=[0.0, 1.0, 2.0],
+            obs_probs=[[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]],
+            n=2,
+        )
+        summary, dist, obs = SummarySpec(kind="identity"), DistanceSpec(kind="lp", p=1), np.array([0.0, 2.0])
+        seen = []
+        rejuvenate = smc.mcmc.rejuvenate
+
+        def spying(system, model, simulate, *args):
+            def spy(theta, m):
+                seen.append((theta.copy(), m))
+                return simulate(theta, m)
+
+            return rejuvenate(system, model, spy, *args)
+
+        monkeypatch.setattr(smc.mcmc, "rejuvenate", spying)
+        n, k = 300, 3
+        cfg = SMCConfig(n_particles=n, lambda_target=3.0, mcmc_steps=k, adapt_m=False, seed=1)
+        system, trace = run_smc(cfg, model, summary, dist, obs)
+        assert trace.status == "ok" and len(seen) == k * len(trace)
+        rows = sum(theta.shape[0] for theta, _ in seen)
+        assert 0 < rows < n * k * len(trace)  # about a third of the proposals land on the middle atom
+        assert not any(np.any(theta == 1.0) for theta, _ in seen)
+        assert system.sim_calls == n + sum(theta.shape[0] * m for theta, m in seen)
 
 
 class TestTraceAndSnapshots:

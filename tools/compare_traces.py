@@ -13,13 +13,17 @@ p = 3) and one of 9 entries.  Each is made once per checkout in a child
 process that imports the package from that checkout's ``src``.  A run
 counts as identical only if both sides exit 0, both write ``trace.csv``,
 and both write the same files with the same bytes, except
-``summary.json``'s ``wall_time_s``.  One line is printed per run.
+``summary.json``'s ``wall_time_s``.  One line is printed per run; under a
+run that differs, a second line gives its ``status``, ``steps``,
+``lambda_final`` and ``sim_calls`` as base -> change (``SHIFT_FIELDS``), so
+a change that moves the random stream on purpose shows what each run spent.
 
 The runs of ``PINNED_RUNS`` (the moment statistic of ``mixture-adaptive-m``
 and the indicator statistic of ``exp3``) then run once more per checkout, in
 a child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
-the package starts no helper thread; both pinned runs must write the same
-bytes as the base's unpinned run.  Where the platform has no
+the package starts no helper thread; each side's pinned run must write the
+same bytes as its own unpinned run, so the line holds also for a change that
+moves the random stream on purpose.  Where the platform has no
 ``sched_setaffinity`` these lines read ``skipped``.
 
 Then ``abcsmc experiment exp1|exp2|exp3 --seeds 7`` runs once per checkout,
@@ -207,6 +211,21 @@ def verdict(codes: dict[str, int], base: Path, change: Path) -> str:
     return f"DIFFER {', '.join(diff)}" if diff else "same"
 
 
+# summary.json fields shown, base -> change, under a run that differs
+SHIFT_FIELDS = ["status", "steps", "lambda_final", "sim_calls"]
+
+
+def shift(base: Path, change: Path) -> str | None:
+    """``SHIFT_FIELDS`` of both sides' ``summary.json`` as "field base -> change", or None without both files."""
+    docs = []
+    for out in (base, change):
+        path = out / "summary.json"
+        if not path.is_file():
+            return None
+        docs.append(json.loads(path.read_text()))
+    return "  ".join(f"{key} {docs[0].get(key)} -> {docs[1].get(key)}" for key in SHIFT_FIELDS)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -232,6 +251,8 @@ def main(argv=None) -> int:
             f"{result:<24} {name:<24} base {secs['base']:.1f} s  change {secs['change']:.1f} s",
             flush=True,
         )
+        if result != "same" and (moved := shift(work / "base" / name, work / "change" / name)):
+            print(f"{'':<24} {moved}", flush=True)
     print(f"{len(all_runs) - failed}/{len(all_runs)} runs identical at seed {SEED}")
 
     for name, args in (run for run in all_runs if run[0] in PINNED_RUNS):
@@ -244,10 +265,9 @@ def main(argv=None) -> int:
             out = work / side / pinned
             out.mkdir(parents=True)
             codes[side], secs[side] = cli_once(checkout, ["run", *args, "--seed", str(SEED)], out, one_cpu=True)
-        unpinned = work / "base" / name
-        result = verdict(codes, unpinned, work / "base" / pinned)
+        result = verdict(codes, work / "base" / name, work / "base" / pinned)
         if result == "same":
-            result = verdict(codes, unpinned, work / "change" / pinned)
+            result = verdict(codes, work / "change" / name, work / "change" / pinned)
         failed += result != "same"
         print(
             f"{result:<24} {pinned:<24} base {secs['base']:.1f} s  change {secs['change']:.1f} s",
