@@ -151,22 +151,35 @@ def adaptive_objective(beta: float, log_z_at, constants: BoundConstants, distanc
     log Z is evaluated at the mean bandwidth 1/beta by interpolation of the
     computed ladder.
     """
+    return _averaged_bound(beta, log_z_at, constants, distance_kind)[0]
+
+
+def _averaged_bound(beta: float, log_z_at, constants: BoundConstants, distance_kind: str):
+    """``adaptive_objective`` at beta and its four addends, each the bracketed term times beta."""
     if beta <= constants.alpha:
         raise InvalidConfigError("beta must exceed alpha for the KL term to exist")
-    return beta * (
-        -log_z_at(1.0 / beta)
-        + (2.0 / beta**2) * mcdiarmid_f(constants, 1.0, distance_kind)
-        + exponential_family_kl(beta, constants.alpha)
-        + math.log(1.0 / constants.eps)
-    )
+    neg_log_z = -log_z_at(1.0 / beta)
+    f_coef = mcdiarmid_f(constants, 1.0, distance_kind)
+    kl = exponential_family_kl(beta, constants.alpha)
+    confidence = math.log(1.0 / constants.eps)
+    value = beta * (neg_log_z + (2.0 / beta**2) * f_coef + kl + confidence)
+    components = {
+        "neg_log_z": beta * neg_log_z,
+        "concentration": beta * (2.0 / beta**2) * f_coef,
+        "kl": beta * kl,
+        "confidence": beta * confidence,
+    }
+    return value, components
 
 
 def adaptive_objectives(trace, constants: BoundConstants, beta_grid=None, distance_kind: str = "lp"):
-    """The feasible betas of the grid and the averaged bound at each.
+    """The feasible betas of the grid, the averaged bound at each, and the report at the minimizing beta.
 
     A beta is feasible when it exceeds alpha and 1/beta lies on the ladder,
     to 1e-12: a ladder end whose 1/(1/lambda) does not round-trip stays in.
     The default grid is 64 log-spaced betas spanning the ladder's range.
+    The report's value is the exact sum of its components; it is flagged
+    ``boundary`` when the minimizing beta is the first or last feasible one.
     """
     log_z_at, lam_lo, lam_hi = _log_z_interpolator(trace)
     if beta_grid is None:
@@ -178,7 +191,18 @@ def adaptive_objectives(trace, constants: BoundConstants, beta_grid=None, distan
     ]
     if not feasible:
         raise InvalidConfigError("no beta in the grid is feasible (beta > alpha, 1/beta on the ladder)")
-    return feasible, [adaptive_objective(b, log_z_at, constants, distance_kind) for b in feasible]
+    bounds = [_averaged_bound(b, log_z_at, constants, distance_kind) for b in feasible]
+    values = [value for value, _ in bounds]
+    i_star = int(np.argmin(values))
+    components = bounds[i_star][1]
+    report = BoundReport(
+        lam_or_beta=feasible[i_star],
+        value=math.fsum(components.values()),
+        components=components,
+        provenance={"all": "exponential-family averaged bound at the minimizing beta"},
+        boundary=i_star in (0, len(feasible) - 1),
+    )
+    return feasible, values, report
 
 
 def adaptive_select_lambda(
@@ -193,26 +217,8 @@ def adaptive_select_lambda(
     ``adaptive_objectives``; final inference should reweight the stored
     population snapshot nearest lambda_hat.
     """
-    feasible, values = adaptive_objectives(trace, constants, beta_grid, distance_kind)
-    i_star = int(np.argmin(values))
-    beta_star = feasible[i_star]
-    lam_hat = 1.0 / beta_star
-    log_z_at, _, _ = _log_z_interpolator(trace)
-    f_coef = mcdiarmid_f(constants, 1.0, distance_kind)
-    components = {
-        "neg_log_z": -beta_star * log_z_at(lam_hat),
-        "concentration": beta_star * (2.0 / beta_star**2) * f_coef,
-        "kl": beta_star * exponential_family_kl(beta_star, constants.alpha),
-        "confidence": beta_star * math.log(1.0 / constants.eps),
-    }
-    report = BoundReport(
-        lam_or_beta=beta_star,
-        value=math.fsum(components.values()),
-        components=components,
-        provenance={"all": "exponential-family averaged bound at the minimizing beta"},
-        boundary=i_star in (0, len(feasible) - 1),
-    )
-    return lam_hat, report
+    _, _, report = adaptive_objectives(trace, constants, beta_grid, distance_kind)
+    return 1.0 / report.lam_or_beta, report
 
 
 def small_ball_log_prior_mass(d: int, theta_var: float, delta: float) -> float:
@@ -280,7 +286,7 @@ class NonparametricRate:
     order_only: bool = True
 
 
-def nonparametric_rate(n: int, beta_smooth: float, eps: float | None = None) -> NonparametricRate:
+def nonparametric_rate(n: int, beta_smooth: float) -> NonparametricRate:
     """rate = n^(-b/(2b+1)) (log n)^(b/(2b+1)); lambda_n and c_n to match.
 
     lambda_n = n^((b+1)/(2b+1)) (log n)^(b/(2b+1)); c_n = (log^2 n / n)^(1/(2b+1)).
@@ -289,8 +295,6 @@ def nonparametric_rate(n: int, beta_smooth: float, eps: float | None = None) -> 
         raise InvalidConfigError("n must be >= 2")
     if beta_smooth <= 0:
         raise InvalidConfigError("beta_smooth must be > 0")
-    if eps is not None and not 0.0 < eps < 1.0:
-        raise InvalidConfigError("eps must lie in (0, 1)")
     b = beta_smooth
     ln = math.log(n)
     denom = 2.0 * b + 1.0

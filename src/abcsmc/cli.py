@@ -258,11 +258,10 @@ def cmd_bound(args) -> int:
         return 0
 
     # adaptive: every feasible beta of the grid, the selected one marked
-    lam_hat, sel = adaptive_select_lambda(trace, constants, grid or None, distance_kind)
-    betas, values = adaptive_objectives(trace, constants, grid or None, distance_kind)
+    betas, values, sel = adaptive_objectives(trace, constants, grid or None, distance_kind)
     rows = [[fmt(b), fmt(1.0 / b), fmt(v), int(b == sel.lam_or_beta)] for b, v in zip(betas, values)]
     _write_csv(path, ["beta", "lambda", "objective", "selected"], rows)
-    print(f"wrote {path}; selected lambda_hat={lam_hat:.6g} (bound {sel.value:.6g})")
+    print(f"wrote {path}; selected lambda_hat={1.0 / sel.lam_or_beta:.6g} (bound {sel.value:.6g})")
     return 0
 
 
@@ -272,9 +271,14 @@ def cmd_bound(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    except ValueError:
+        raise InvalidConfigError(f"--seeds must be a comma-separated list of integers, not {args.seeds!r}") from None
     if not seeds:
         raise InvalidConfigError("--seeds must name at least one seed")
+    if min(seeds) < 0:  # refused before any seed's run, as SMCConfig.validate would refuse it at that run
+        raise InvalidConfigError(f"--seeds: each seed must be >= 0, not {min(seeds)}")
     cfg = cfgmod.apply_overrides(cfgmod.preset(args.name), args.override)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

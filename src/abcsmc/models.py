@@ -14,26 +14,31 @@ seed reproduces datasets bit for bit.
 ``simulate_batch(..., reduce=f)`` returns ``f`` of the datasets instead of
 the datasets: ``f`` maps (..., n) datasets to (...) values (the sampler
 passes summary, then distance).  The mixture hands them to ``f`` in blocks of
-at most ``statistics.rows_per_block(n)`` datasets, on the helper thread while
-the calling thread draws the next block's normals, so a large M never builds
-the (B, m, n) array; the other simulators, whose datasets are small, apply
-``f`` once to all of them.  The blocks change no value.
+at most ``statistics.rows_per_block(n)`` datasets, on a helper thread that
+lives for the call (``helper``) while the calling thread draws the next
+block's normals, so a large M never builds the (B, m, n) array; the other
+simulators, whose datasets are small, apply ``f`` once to all of them.  The
+blocks change no value.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidParameterError
-from .statistics import beside, distance_batch, row_blocks, rows_per_block, summarize, summarize_batch, wait
+from .statistics import distance_batch, row_blocks, rows_per_block, summarize, summarize_batch
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_BUFFERS = 3  # the mixture's reused block buffers: the block drawn here and two its tasks still read
+_use_helper: bool | None = None  # None until the first call of ``helper`` decides from the CPU count
 
 
 class GenerativeModel:
@@ -57,7 +62,7 @@ class GenerativeModel:
         """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them.
 
         ``reduce`` maps (..., n) datasets to (...) values; it may be handed
-        the datasets in blocks, on the helper thread (``statistics.beside``).
+        the datasets in blocks, on a helper thread (``beside``).
         """
         raise NotImplementedError
 
@@ -101,14 +106,15 @@ class MixtureModel(GenerativeModel):
 
         The datasets are made in blocks of at most ``rows_per_block(n)``
         (a particle's m datasets may span several blocks).  This thread draws
-        each block's normals; one task per block (``beside``: on the helper
-        thread, in order, or here when there is none) then draws its labels,
-        applies the affine map and, with ``reduce``, writes ``reduce`` of the
-        (k, n) block, k values, into the result.  Without ``reduce`` the
-        blocks are drawn straight into the (B, m, n) result; with it they
-        rotate through ``_BLOCK_BUFFERS`` reused buffers, so no more than
-        that many blocks of datasets exist at once.  Once a task fails, the
-        later tasks do nothing, and the error is raised here.
+        each block's normals; one task per block (``beside``: on this call's
+        helper thread, in order, or here when there is none) then draws its
+        labels, applies the affine map and, with ``reduce``, writes
+        ``reduce`` of the (k, n) block, k values, into the result.  Without
+        ``reduce`` the blocks are drawn straight into the (B, m, n) result;
+        with it they rotate through ``_BLOCK_BUFFERS`` reused buffers, so no
+        more than that many blocks of datasets exist at once.  Once a task
+        fails, the later tasks do nothing, and the error is raised here, after
+        the helper thread has ended.
 
         If ``rng`` can jump exactly (``_labels_can_jump``), the labels are
         drawn block by block from a copy of ``rng``'s state while ``rng``
@@ -163,15 +169,14 @@ class MixtureModel(GenerativeModel):
                 raise
 
         pending = deque()
-        try:
+        with helper() as pool:
             for i, (d0, d1) in enumerate(row_blocks(sets, n)):
                 if len(pending) == _BLOCK_BUFFERS:
                     wait([pending.popleft()])  # with reduce: the task of the block that last used this buffer
                 z = data[d0:d1] if reduce is None else bufs[i % _BLOCK_BUFFERS][: d1 - d0]
                 rng.standard_normal(out=z)
-                pending.append(beside(finish, z, d0))
-        finally:
-            wait(pending)
+                pending.append(beside(pool, finish, z, d0))
+        wait(pending)
         return data.reshape(b, m, n) if reduce is None else out.reshape(b, m)
 
 
@@ -183,6 +188,52 @@ def _labels_can_jump(bit_generator) -> bool:
     since ``advance`` drops it.
     """
     return type(bit_generator) in (np.random.PCG64, np.random.PCG64DXSM) and not bit_generator.state["has_uint32"]
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def helper():
+    """A new one-thread pool, which ``with`` shuts down, waiting for its tasks; ``nullcontext()`` without 2 CPUs.
+
+    The pool is used only when this process may run on at least 2 CPUs
+    (``concurrent.futures`` is imported then, not with the package).  Each
+    ``simulate_batch`` call opens its own, so a ``reduce`` that simulates
+    starts a second one rather than queueing behind itself, and no helper
+    thread outlives the call that started it.
+    """
+    global _use_helper
+    if _use_helper is None:
+        _use_helper = _cpus() >= 2
+    if not _use_helper:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="abcsmc-helper")
+
+
+def beside(pool, fn, *args):
+    """Start ``fn(*args)`` on ``pool`` and return its future; with ``pool`` None, run it now and return None.
+
+    The task runs in a copy of the caller's ``contextvars`` context, so the
+    caller's ``np.errstate`` applies to it.
+    """
+    if pool is None:
+        fn(*args)
+        return None
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def wait(futures):
+    """Wait until every task of ``futures`` (from ``beside``) has ended, then re-raise the first task error."""
+    errors = [fut.exception() for fut in futures if fut is not None]
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 class GaussianLocationModel(GenerativeModel):

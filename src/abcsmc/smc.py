@@ -490,6 +490,8 @@ class SMCConfig:
             raise InvalidConfigError("max_steps must be >= 1")
         if self.sim_budget is not None and self.sim_budget <= self.n_particles:
             raise InvalidConfigError("sim_budget must exceed n_particles, which the first draw spends")
+        if self.seed < 0:  # numpy seeds no generator from a negative integer
+            raise InvalidConfigError(f"seed must be >= 0, not {self.seed}")
         return self
 
 

@@ -10,17 +10,14 @@ refresh correction of the sampler is built from, is derived from it as
 ``logsumexp(log_k(d, param), axis=-1)``; for the uniform kernel that is the
 log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
 
-The mixture simulator runs each block's labels, affine map and reduction
-(summary, then distance) on one helper thread (``beside``) while the calling
-thread draws the next block's normals; see ``helper``.
+The summaries and distances hold no state and start no thread, so they give
+the same bits on any thread, also the mixture simulator's helper, which runs
+them as its ``reduce`` (``models.MixtureModel.simulate_batch``).
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,79 +27,6 @@ from .exceptions import InvalidConfigError, InvalidInputError
 SUMMARY_KINDS = ("moments_and_tails", "indicator_grid", "identity", "mean")
 DISTANCE_KINDS = ("lp", "sup", "scaled_empirical_l2")
 BLOCK_ELEMENTS = 1 << 16  # elements per row block of the simulate and summarise loops (512 KiB of float64)
-
-_use_helper: bool | None = None  # None until the first call of ``helper`` decides from the CPU count
-_helper_pool = None
-_helper_lock = threading.Lock()
-_on_helper = threading.local()  # ``flag`` is set on the helper thread only
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _forget_helper():
-    global _helper_pool, _helper_lock
-    _helper_pool, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)  # the parent's thread does not exist in a child
-
-
-def helper():
-    """The process's one helper thread, a single-worker pool; None when there is no second CPU.
-
-    It is used only when this process may run on at least 2 CPUs, and it is
-    started on first use (``concurrent.futures`` is imported then, not with
-    the package).  A forked child starts its own.  It runs the tasks of every
-    caller one at a time, in the order they were started.  They give the same
-    bits with or without it: the mixture's affine map and its ``reduce`` use
-    no random numbers, and its labels are drawn from a private copy of the
-    caller's generator, which jumps past them exactly
-    (``models.MixtureModel.simulate_batch``).
-    """
-    global _use_helper, _helper_pool
-    if _use_helper is None:
-        _use_helper = _cpus() >= 2
-    if not _use_helper:
-        return None
-    with _helper_lock:
-        if _helper_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="abcsmc-helper", initializer=_mark_helper)
-        return _helper_pool
-
-
-def _mark_helper():
-    _on_helper.flag = True
-
-
-def beside(fn, *args):
-    """Start ``fn(*args)`` on the helper thread and return its future; without a helper, run it now and return None.
-
-    The task runs in a copy of the caller's ``contextvars`` context, so the
-    caller's ``np.errstate`` applies to it.  Called on the helper thread
-    itself, it also runs ``fn`` now: queued behind the running task, which
-    may wait for it, ``fn`` would never start.
-    """
-    pool = helper()
-    if pool is None or getattr(_on_helper, "flag", False):
-        fn(*args)
-        return None
-    return pool.submit(contextvars.copy_context().run, fn, *args)
-
-
-def wait(futures):
-    """Wait until every task of ``futures`` (from ``beside``) has ended, then re-raise the first task error."""
-    errors = [fut.exception() for fut in futures if fut is not None]
-    for err in errors:
-        if err is not None:
-            raise err
 
 
 @dataclass(frozen=True)

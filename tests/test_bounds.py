@@ -310,5 +310,3 @@ class TestNonparametricRate:
             nonparametric_rate(1, 1.0)
         with pytest.raises(InvalidConfigError):
             nonparametric_rate(100, 0.0)
-        with pytest.raises(InvalidConfigError):
-            nonparametric_rate(100, 1.0, eps=2.0)

@@ -401,6 +401,16 @@ BAD_INPUTS = {
         _bound_constants({**TestBound.CONSTANTS, "beta_smooth": "y"}, "adaptive"),
         ["constants file", "'beta_smooth'"],
     ),
+    # seeds numpy cannot take: the run and the experiment stop before they simulate
+    "run-seed-negative": (
+        lambda tmp_path: ["run", "--preset", "toy-discrete", *TOY_FAST, "--seed", "-1"], ["seed", ">= 0"]
+    ),
+    "experiment-seed-negative": (
+        lambda tmp_path: ["experiment", "toy-discrete", "--seeds", "0,-1", *TOY_FAST], ["--seeds", ">= 0", "-1"]
+    ),
+    "experiment-seed-not-an-integer": (
+        lambda tmp_path: ["experiment", "toy-discrete", "--seeds", "x"], ["--seeds", "'x'"]
+    ),
     "cor1-beta-grid-number": (
         _bound_constants({**TestBound.CONSTANTS, "beta_grid": 0.5}), ["constants file", "'beta_grid'"]
     ),

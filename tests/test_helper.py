@@ -3,8 +3,9 @@ arrays, and leaves the generator in the same state, whether its block tasks
 (labels, affine map, reduce) run on the helper thread or on the caller's, and
 whether its labels come from a jumped copy of the generator or not.  The
 moment and indicator summaries, which those tasks run, give the same bits on
-either thread."""
+either thread.  Each call's helper thread ends before the call does."""
 
+import contextlib
 import os
 import pickle
 import select
@@ -15,7 +16,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from abcsmc import statistics
+from abcsmc import models
 from abcsmc.models import MixtureModel
 from abcsmc.smc import simulate_distances
 from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec, rows_per_block, summarize_batch
@@ -37,8 +38,13 @@ SPECS = [
 
 
 def with_helper(monkeypatch, on: bool):
-    monkeypatch.setattr(statistics, "_use_helper", on)
-    assert (statistics.helper() is not None) == on
+    monkeypatch.setattr(models, "_use_helper", on)
+    with models.helper() as pool:
+        assert (pool is not None) == on
+
+
+def helper_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("abcsmc-helper")]
 
 
 def particles(b: int) -> np.ndarray:
@@ -106,7 +112,8 @@ def test_summary_same_bits(monkeypatch, spec, rows):
     before = data.copy()
     with_helper(monkeypatch, True)
     here = summarize_batch(spec, data)
-    there = statistics.helper().submit(summarize_batch, spec, data).result(timeout=60.0)
+    with models.helper() as pool:
+        there = pool.submit(summarize_batch, spec, data).result(timeout=60.0)
     assert np.array_equal(there, here)
     assert np.array_equal(data, before)  # the input is never written
 
@@ -137,9 +144,9 @@ def _distances():
 
 
 def test_forked_child_gets_the_same_distances(monkeypatch):
-    """A child forked after the helper started runs its own helper, not the parent's dead thread."""
+    """A child forked after a call that ran on a helper thread runs its own calls on helpers of its own."""
     with_helper(monkeypatch, True)
-    expected = _distances()  # starts the helper in this process
+    expected = _distances()  # starts and joins a helper in this process
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # child
@@ -166,14 +173,9 @@ def test_forked_child_gets_the_same_distances(monkeypatch):
     assert np.array_equal(got, expected)
 
 
-def test_concurrent_callers_share_the_helper(monkeypatch):
-    """Four caller threads at once through ``simulate_distances``, on a helper started by the first of them.
-
-    Their block tasks interleave on the helper's one queue; each caller
-    still gets its own bits.
-    """
-    monkeypatch.setattr(statistics, "_use_helper", True)
-    monkeypatch.setattr(statistics, "_helper_pool", None)
+def test_concurrent_callers_each_get_their_own_bits(monkeypatch):
+    """Four caller threads at once through ``simulate_distances``, each call on a helper thread of its own."""
+    with_helper(monkeypatch, True)
     spec = SPECS[0]
     obs_stats = summarize_batch(spec, np.linspace(-2.0, 3.0, N_OBS))
 
@@ -182,7 +184,6 @@ def test_concurrent_callers_share_the_helper(monkeypatch):
         return simulate_distances(MixtureModel(), particles(3 * ROWS), N_OBS, M, rng, spec, DistanceSpec(), obs_stats)
 
     expected = {seed: work(seed) for seed in range(4)}
-    monkeypatch.setattr(statistics, "_helper_pool", None)  # the threads race to start it
     got = {}
     threads = [threading.Thread(target=lambda s=seed: got.__setitem__(s, work(s))) for seed in range(4)]
     interval = sys.getswitchinterval()
@@ -197,6 +198,24 @@ def test_concurrent_callers_share_the_helper(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for seed in range(4):
         assert np.array_equal(got[seed], expected[seed])
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "reduce-fails"])
+def test_no_helper_thread_outlives_the_call(monkeypatch, fail):
+    """The call's blocks ran on a helper thread, and it has ended when the call returns or raises."""
+    with_helper(monkeypatch, True)
+    alive = []
+
+    def reduce(sims):
+        alive.append(len(helper_threads()))
+        if fail and len(alive) == 2:
+            raise ValueError("reduce failed")
+        return sims.sum(axis=-1)
+
+    with pytest.raises(ValueError, match="reduce failed") if fail else contextlib.nullcontext():
+        MixtureModel().simulate_batch(particles(3 * ROWS), N_OBS, M, np.random.default_rng(1), reduce)
+    assert alive[0] == 1
+    assert helper_threads() == []
 
 
 def in_thread(fn, timeout=120.0):
@@ -216,26 +235,8 @@ def in_thread(fn, timeout=120.0):
     return result.result(timeout=0)
 
 
-def test_beside_on_the_helper_runs_the_task_there(monkeypatch):
-    """A task that starts a task and waits for it: queued behind itself, the inner one would never start."""
-    with_helper(monkeypatch, True)
-    ran_on = []
-
-    def inner():
-        ran_on.append(threading.current_thread())
-
-    def outer():
-        fut = statistics.beside(inner)
-        if fut is not None:
-            fut.result(timeout=10.0)  # raises TimeoutError rather than blocking the helper for good
-        return threading.current_thread()
-
-    helper_thread = in_thread(lambda: statistics.helper().submit(outer).result())
-    assert ran_on == [helper_thread]
-
-
 def test_reduce_that_simulates_on_the_helper(monkeypatch):
-    """A ``reduce`` that calls the mixture simulator, which runs on the helper thread, gets the caller's bits."""
+    """A ``reduce`` that calls the mixture simulator gets the caller's bits: the inner call starts a helper of its own."""
     model = MixtureModel()
 
     def reduce(sims):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from abcsmc import models, statistics
+from abcsmc import models
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError, InvalidParameterError
 from abcsmc.models import (
     DiscreteToyModel,
@@ -238,7 +238,7 @@ class TestStreamedReduce:
     @pytest.mark.parametrize("m", [1, 3, 256, 1024])
     def test_blocks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, on):
         """At m=1024 a particle's datasets span two blocks or more."""
-        monkeypatch.setattr(statistics, "_use_helper", on)
+        monkeypatch.setattr(models, "_use_helper", on)
         n = 90
         b = max(3, int(3.3 * rows_per_block(n)) // m)  # three full blocks and a short one, or more
         model = MixtureModel(p=0.7)
@@ -258,7 +258,7 @@ class TestStreamedReduce:
     @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
     def test_simulate_distances_equals_one_shot_pipeline(self, monkeypatch, on):
         """The sampler's path gives the distances of the whole datasets, summarized and measured at once."""
-        monkeypatch.setattr(statistics, "_use_helper", on)
+        monkeypatch.setattr(models, "_use_helper", on)
         model = MixtureModel()
         thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 101)
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -268,7 +268,7 @@ class TestStreamedReduce:
 
     @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
     def test_no_draws_reduce_the_empty_datasets(self, monkeypatch, on):
-        monkeypatch.setattr(statistics, "_use_helper", on)
+        monkeypatch.setattr(models, "_use_helper", on)
         thetas = MixtureModel().prior_sample(np.random.default_rng(0), 5)
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
@@ -287,12 +287,14 @@ class TestStreamedReduce:
     @pytest.mark.parametrize("fail_at", [1, 2, 5])
     def test_a_failing_reduce_propagates_and_leaves_no_task_running(self, monkeypatch, on, fail_at):
         """The blocks queued behind the failing one call ``reduce`` no more."""
-        monkeypatch.setattr(statistics, "_use_helper", on)
+        monkeypatch.setattr(models, "_use_helper", on)
         tasks = []
 
-        def spy(fn, *args):
+        beside = models.beside
+
+        def spy(pool, fn, *args):
             tasks.append(None)  # stays None for a task that runs here, also one that raises
-            tasks[-1] = statistics.beside(fn, *args)
+            tasks[-1] = beside(pool, fn, *args)
             return tasks[-1]
 
         monkeypatch.setattr(models, "beside", spy)
