@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except ABCSMCError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -412,6 +412,8 @@ def _experiment1(cfg, seeds, out, name):
 def _experiment2(cfg, seeds, out, name):
     """Misspecified MSE study over n plus the bound-vs-lambda table."""
     n_grid = cfg.get("n_grid", [30, 90, 270])
+    if not (isinstance(n_grid, list) and n_grid and all(type(n) is int and n >= 1 for n in n_grid)):
+        raise InvalidConfigError(f"n_grid must be a non-empty list of integers >= 1, not {n_grid!r}")
     constants = cfgmod.build_bound_constants(cfg)  # refused before any run
     summary = cfgmod.build_summary(cfg)
     s_true = _truth_stats(cfg, summary)
@@ -422,13 +424,13 @@ def _experiment2(cfg, seeds, out, name):
         for seed in seeds:
             sd = _seed_dir(out, seed)
             ncfg = json.loads(json.dumps(cfg))
-            ncfg["truth"]["n"] = int(n)
+            ncfg["truth"]["n"] = n
             if "bound" in ncfg:
-                ncfg["bound"]["n"] = int(n)
+                ncfg["bound"]["n"] = n
             model, summ, dist_spec, obs, system, trace = _run_variant(
                 ncfg, seed, sd, f"fixed_n{n}", store_snapshots=True
             )
-            if bound_trace is None and seed == seeds[0] and int(n) == cfg["truth"]["n"]:
+            if bound_trace is None and seed == seeds[0] and n == cfg["truth"]["n"]:
                 bound_trace = trace
             budget = system.sim_calls
             spend_rows.append(_spend_row(seed, f"fixed_n{n}", system, trace))
@@ -449,15 +451,15 @@ def _experiment2(cfg, seeds, out, name):
             estimators["uniform"] = s_uni
             for tag, s_hat in estimators.items():
                 mse = float(np.mean((s_hat - s_true) ** 2))
-                mse_rows.append([int(n), seed, tag, fmt(mse), fmt(lam_hat if tag == "adaptive_lambda" else lam_fixed)])
+                mse_rows.append([n, seed, tag, fmt(mse), fmt(lam_hat if tag == "adaptive_lambda" else lam_fixed)])
     _write_csv(out / "mse.csv", ["n", "seed", "estimator", "mse", "lambda"], mse_rows)
     _write_csv(out / "spend.csv", _SPEND_HEADER, spend_rows)
 
     agg = []
     for n in n_grid:
         for tag in ("fixed_lambda", "adaptive_lambda", "uniform"):
-            vals = [float(r[3]) for r in mse_rows if r[0] == int(n) and r[2] == tag]
-            agg.append([int(n), tag, fmt(pystats.median(vals)), fmt(max(vals))])
+            vals = [float(r[3]) for r in mse_rows if r[0] == n and r[2] == tag]
+            agg.append([n, tag, fmt(pystats.median(vals)), fmt(max(vals))])
     _write_csv(out / "aggregate.csv", ["n", "estimator", "median_mse", "max_mse"], agg)
 
     # bound-vs-lambda table from the first seed at the preset n: that arm's run when n_grid holds it

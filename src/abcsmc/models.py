@@ -15,19 +15,15 @@ seed reproduces datasets bit for bit.
 the datasets: ``f`` maps (..., n) datasets to (...) values (the sampler
 passes summary, then distance).  The mixture hands them to ``f`` in blocks of
 at most ``statistics.rows_per_block(n)`` datasets, on a helper thread that
-lives for the call (``helper``) while the calling thread draws the next
-block's normals, so a large M never builds the (B, m, n) array; the other
-simulators, whose datasets are small, apply ``f`` once to all of them.  The
-blocks change no value.
+lives for the call, so a large M never builds the (B, m, n) array; the other
+simulators apply ``f`` once to all of them.  The blocks change no value.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,7 +34,6 @@ from .statistics import distance_batch, row_blocks, rows_per_block, summarize, s
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_BUFFERS = 3  # the mixture's reused block buffers: the block drawn here and two its tasks still read
-_use_helper: bool | None = None  # None until the first call of ``helper`` decides from the CPU count
 
 
 class GenerativeModel:
@@ -62,7 +57,7 @@ class GenerativeModel:
         """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them.
 
         ``reduce`` maps (..., n) datasets to (...) values; it may be handed
-        the datasets in blocks, on a helper thread (``beside``).
+        the datasets in blocks, on another thread.
         """
         raise NotImplementedError
 
@@ -99,28 +94,22 @@ class MixtureModel(GenerativeModel):
 
         Stream contract: all B*m*n uniforms (the component labels) are drawn
         first, then all B*m*n standard normals, each in C order of the
-        datasets.  Draws are made on consecutive blocks of datasets, so the
-        generator is consumed exactly as by one-shot draws of the full shape
-        and the block size never changes a value.  Each observation is
-        mu + s*z with (mu, s) of the label's component, applied in place.
+        datasets, so every value and ``rng``'s final state are the bits of
+        one-shot draws of the full shape, whatever the block size.  The
+        labels come from a copy of ``rng``'s state, while ``rng`` skips past
+        them: with ``advance`` where that is exact (``_labels_can_jump``),
+        else by drawing them.  Each observation is mu + s*z with (mu, s) of
+        the label's component, applied in place.
 
         The datasets are made in blocks of at most ``rows_per_block(n)``
-        (a particle's m datasets may span several blocks).  This thread draws
-        each block's normals; one task per block (``beside``: on this call's
-        helper thread, in order, or here when there is none) then draws its
-        labels, applies the affine map and, with ``reduce``, writes
-        ``reduce`` of the (k, n) block, k values, into the result.  Without
-        ``reduce`` the blocks are drawn straight into the (B, m, n) result;
-        with it they rotate through ``_BLOCK_BUFFERS`` reused buffers, so no
-        more than that many blocks of datasets exist at once.  Once a task
-        fails, the later tasks do nothing, and the error is raised here, after
-        the helper thread has ended.
-
-        If ``rng`` can jump exactly (``_labels_can_jump``), the labels are
-        drawn block by block from a copy of ``rng``'s state while ``rng``
-        jumps past the B*m*n uniforms.  Any other generator draws every label
-        here first, into a (B*m, n) bool array.  Either way every value and
-        ``rng``'s final state are the same bits as the one-shot draws.
+        (a particle's m datasets may span several blocks), which rotate
+        through ``_BLOCK_BUFFERS`` reused buffers.  This thread draws each
+        block's normals; one task per block, run in order on a helper thread
+        that lives for the call, in this thread's ``contextvars`` context
+        (so its ``np.errstate`` applies), draws the block's labels, applies
+        the affine map and writes the k datasets, or ``reduce``'s k values,
+        into the result.  Once a task fails, the later tasks do nothing, and
+        the error is raised here, after the helper thread has ended.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
@@ -129,25 +118,23 @@ class MixtureModel(GenerativeModel):
         if sets * n == 0:  # nothing to draw: one-shot draws of size 0 consume nothing either
             empty = np.empty((b, m, n))
             return empty if reduce is None else reduce(empty)
+        from concurrent.futures import ThreadPoolExecutor  # not imported with the package
+
         # row r's (s, mu) of component 2 sits at 2r, that of component 1 at 2r + 1
         sd, mean = np.exp(thetas[:, [3, 1]]).ravel(), thetas[:, [2, 0]].ravel()
         shape = (min(sets, rows_per_block(n)), n)
         u = np.empty(shape)  # a block's label uniforms; the tasks run one at a time
+        pick = np.empty(shape, dtype=bool)  # a block's labels: True for component 1
         at = np.empty(shape, dtype=np.intp)  # a block's table index 2 r + label
+        bufs = [np.empty(shape) for _ in range(_BLOCK_BUFFERS)]
+        out = np.empty((sets, n) if reduce is None else sets)
+        labels_rng = np.random.Generator(type(rng.bit_generator)())
+        labels_rng.bit_generator.state = rng.bit_generator.state
         if _labels_can_jump(rng.bit_generator):
-            labels_rng = np.random.Generator(type(rng.bit_generator)())
-            labels_rng.bit_generator.state = rng.bit_generator.state
             rng.bit_generator.advance(sets * n)
-            pick_buf, picks = np.empty(shape, dtype=bool), None
         else:
-            picks = np.empty((sets, n), dtype=bool)
             for d0, d1 in row_blocks(sets, n):
-                np.less(rng.random(out=u[: d1 - d0]), self.p, out=picks[d0:d1])
-        if reduce is None:
-            data = np.empty((sets, n))
-        else:
-            out = np.empty(sets)
-            bufs = [np.empty(shape) for _ in range(_BLOCK_BUFFERS)]
+                rng.random(out=u[: d1 - d0])
         failed = []
 
         def finish(z, d0):
@@ -155,29 +142,26 @@ class MixtureModel(GenerativeModel):
                 return
             try:
                 k = len(z)
-                if picks is None:
-                    pick = np.less(labels_rng.random(out=u[:k]), self.p, out=pick_buf[:k])
-                else:
-                    pick = picks[d0 : d0 + k]
-                np.add(pick, 2 * (np.arange(d0, d0 + k) // m)[:, None], out=at[:k])
+                np.less(labels_rng.random(out=u[:k]), self.p, out=pick[:k])
+                np.add(pick[:k], 2 * (np.arange(d0, d0 + k) // m)[:, None], out=at[:k])
                 z *= sd.take(at[:k])
                 z += mean.take(at[:k])
-                if reduce is not None:
-                    out[d0 : d0 + k] = reduce(z)
+                out[d0 : d0 + k] = z if reduce is None else reduce(z)
             except BaseException:
                 failed.append(True)
                 raise
 
         pending = deque()
-        with helper() as pool:
+        with ThreadPoolExecutor(1, thread_name_prefix="abcsmc-helper") as pool:
             for i, (d0, d1) in enumerate(row_blocks(sets, n)):
                 if len(pending) == _BLOCK_BUFFERS:
-                    wait([pending.popleft()])  # with reduce: the task of the block that last used this buffer
-                z = data[d0:d1] if reduce is None else bufs[i % _BLOCK_BUFFERS][: d1 - d0]
+                    pending.popleft().result()  # the task of the block that last used this buffer
+                z = bufs[i % _BLOCK_BUFFERS][: d1 - d0]
                 rng.standard_normal(out=z)
-                pending.append(beside(pool, finish, z, d0))
-        wait(pending)
-        return data.reshape(b, m, n) if reduce is None else out.reshape(b, m)
+                pending.append(pool.submit(contextvars.copy_context().run, finish, z, d0))
+        for fut in pending:
+            fut.result()
+        return out.reshape(b, m, n) if reduce is None else out.reshape(b, m)
 
 
 def _labels_can_jump(bit_generator) -> bool:
@@ -188,52 +172,6 @@ def _labels_can_jump(bit_generator) -> bool:
     since ``advance`` drops it.
     """
     return type(bit_generator) in (np.random.PCG64, np.random.PCG64DXSM) and not bit_generator.state["has_uint32"]
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def helper():
-    """A new one-thread pool, which ``with`` shuts down, waiting for its tasks; ``nullcontext()`` without 2 CPUs.
-
-    The pool is used only when this process may run on at least 2 CPUs
-    (``concurrent.futures`` is imported then, not with the package).  Each
-    ``simulate_batch`` call opens its own, so a ``reduce`` that simulates
-    starts a second one rather than queueing behind itself, and no helper
-    thread outlives the call that started it.
-    """
-    global _use_helper
-    if _use_helper is None:
-        _use_helper = _cpus() >= 2
-    if not _use_helper:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="abcsmc-helper")
-
-
-def beside(pool, fn, *args):
-    """Start ``fn(*args)`` on ``pool`` and return its future; with ``pool`` None, run it now and return None.
-
-    The task runs in a copy of the caller's ``contextvars`` context, so the
-    caller's ``np.errstate`` applies to it.
-    """
-    if pool is None:
-        fn(*args)
-        return None
-    return pool.submit(contextvars.copy_context().run, fn, *args)
-
-
-def wait(futures):
-    """Wait until every task of ``futures`` (from ``beside``) has ended, then re-raise the first task error."""
-    errors = [fut.exception() for fut in futures if fut is not None]
-    for err in errors:
-        if err is not None:
-            raise err
 
 
 class GaussianLocationModel(GenerativeModel):

@@ -414,6 +414,7 @@ def load_trace_csv(path) -> LadderTrace:
     """Rebuild a LadderTrace (without snapshots) from its CSV export.
 
     A CSV written before ``ess_post_refresh`` was exported loads it as nan.
+    InvalidInputError names the file and its missing column or bad line.
     """
     trace = LadderTrace()
     with open(path, newline="") as fh:
@@ -422,19 +423,24 @@ def load_trace_csv(path) -> LadderTrace:
             raise InvalidConfigError(f"{path} is not a ladder trace CSV")
         d = sum(1 for name in reader.fieldnames if name.startswith("theta_mean_"))
         for row in reader:
-            trace.records.append(
-                StepRecord(
-                    step=int(row["step"]),
-                    lam=float(row["lambda"]),
-                    ess=float(row["ess"]),
-                    accept_rate=float(row["accept_rate"]),
-                    m=int(row["M"]),
-                    log_z=float(row["log_z"]),
-                    theta_mean=np.array([float(row[f"theta_mean_{i + 1}"]) for i in range(d)]),
-                    theta_sd=np.array([float(row[f"theta_sd_{i + 1}"]) for i in range(d)]),
-                    ess_post_refresh=float(row.get("ess_post_refresh") or "nan"),
+            try:
+                trace.records.append(
+                    StepRecord(
+                        step=int(row["step"]),
+                        lam=float(row["lambda"]),
+                        ess=float(row["ess"]),
+                        accept_rate=float(row["accept_rate"]),
+                        m=int(row["M"]),
+                        log_z=float(row["log_z"]),
+                        theta_mean=np.array([float(row[f"theta_mean_{i + 1}"]) for i in range(d)]),
+                        theta_sd=np.array([float(row[f"theta_sd_{i + 1}"]) for i in range(d)]),
+                        ess_post_refresh=float(row.get("ess_post_refresh") or "nan"),
+                    )
                 )
-            )
+            except KeyError as err:
+                raise InvalidInputError(f"{path} has no {err.args[0]!r} column") from None
+            except (TypeError, ValueError):  # a short row reads None, a bad cell raises ValueError
+                raise InvalidInputError(f"{path}:{reader.line_num}: a cell is missing or not a number") from None
     return trace
 
 

@@ -11,8 +11,8 @@ refresh correction of the sampler is built from, is derived from it as
 log of the in-window count exactly, since every term is e^0 = 1 or e^-inf = 0.
 
 The summaries and distances hold no state and start no thread, so they give
-the same bits on any thread, also the mixture simulator's helper, which runs
-them as its ``reduce`` (``models.MixtureModel.simulate_batch``).
+the same bits on any thread, also the mixture simulator's helper thread,
+which runs them as its ``reduce`` (``models.MixtureModel.simulate_batch``).
 """
 
 from __future__ import annotations

@@ -305,13 +305,13 @@ LADDER_CSV = """step,lambda,ess,accept_rate,M,log_z,theta_mean_1,theta_sd_1,ess_
 """
 
 
-def _bound_constants(doc, mode="cor1"):
+def _bound_constants(doc, mode="cor1", trace_csv=LADDER_CSV):
     def argv(tmp_path):
         path = tmp_path / "constants.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         trace = []
-        if mode == "adaptive":
-            (tmp_path / "trace.csv").write_text(LADDER_CSV)
+        if mode in ("empirical", "adaptive"):
+            (tmp_path / "trace.csv").write_text(trace_csv)
             trace = ["--trace", str(tmp_path / "trace.csv")]
         return ["bound", "--constants", str(path), "--mode", mode, *trace]
 
@@ -413,6 +413,34 @@ BAD_INPUTS = {
     ),
     "cor1-beta-grid-number": (
         _bound_constants({**TestBound.CONSTANTS, "beta_grid": 0.5}), ["constants file", "'beta_grid'"]
+    ),
+    # an n_grid the study cannot run, refused before its first run
+    **{
+        f"experiment-exp2-n-grid-{name}": (
+            lambda tmp_path, grid=grid: ["experiment", "exp2", "--override", f"n_grid={grid}"],
+            ["n_grid", ">= 1"],
+        )
+        for name, grid in [
+            ("string", '["x"]'), ("number", "5"), ("empty", "[]"), ("zero", "[0]"), ("boolean", "[true]")
+        ]
+    },
+    # input files that cannot be read as such
+    "trace-without-step-column": (
+        _bound_constants(
+            TestBound.CONSTANTS, "empirical", "\n".join(line.split(",", 1)[1] for line in LADDER_CSV.splitlines())
+        ),
+        ["trace.csv", "'step'"],
+    ),
+    "trace-cell-not-a-number": (
+        _bound_constants(TestBound.CONSTANTS, "empirical", LADDER_CSV.replace("1,2,90", "1,2,x")), ["trace.csv:3"]
+    ),
+    "constants-a-directory": (
+        lambda tmp_path: ["bound", "--constants", str(tmp_path), "--mode", "cor1"], ["Is a directory"]
+    ),
+    "config-a-directory": (lambda tmp_path: ["run", "--config", str(tmp_path)], ["Is a directory"]),
+    "run-out-an-existing-file": (
+        lambda tmp_path: (tmp_path / "out").write_text("") or ["run", "--preset", "toy-discrete", *TOY_FAST],
+        ["File exists", "out"],
     ),
 }
 

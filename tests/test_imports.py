@@ -1,7 +1,11 @@
-"""The package's own imports form an acyclic graph, function-local imports included."""
+"""The package's own imports form an acyclic graph, function-local imports included, and the
+CLI's import leaves out what only a simulator call needs."""
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,11 @@ def test_package_import_graph_is_acyclic():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as err:
         pytest.fail("import cycle " + " -> ".join(err.args[1]))
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    """The mixture simulator imports ``concurrent.futures`` on its first call, so the CLI's start-up does not."""
+    code = "import sys, abcsmc.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

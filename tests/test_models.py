@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from abcsmc import models
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError, InvalidParameterError
 from abcsmc.models import (
     DiscreteToyModel,
@@ -233,12 +232,10 @@ def stream_reduce(sims):
 class TestStreamedReduce:
     """``simulate_batch(..., reduce)`` equals ``reduce`` of the one-shot datasets, and leaves the generator alike."""
 
-    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
     @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
     @pytest.mark.parametrize("m", [1, 3, 256, 1024])
-    def test_blocks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, on):
+    def test_blocks_equal_one_shot_datasets(self, m, bit_generator):
         """At m=1024 a particle's datasets span two blocks or more."""
-        monkeypatch.setattr(models, "_use_helper", on)
         n = 90
         b = max(3, int(3.3 * rows_per_block(n)) // m)  # three full blocks and a short one, or more
         model = MixtureModel(p=0.7)
@@ -255,10 +252,8 @@ class TestStreamedReduce:
         assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, n, m, ref)))
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
-    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
-    def test_simulate_distances_equals_one_shot_pipeline(self, monkeypatch, on):
+    def test_simulate_distances_equals_one_shot_pipeline(self):
         """The sampler's path gives the distances of the whole datasets, summarized and measured at once."""
-        monkeypatch.setattr(models, "_use_helper", on)
         model = MixtureModel()
         thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 101)
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -266,9 +261,7 @@ class TestStreamedReduce:
         assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, 90, 256, ref)))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
-    def test_no_draws_reduce_the_empty_datasets(self, monkeypatch, on):
-        monkeypatch.setattr(models, "_use_helper", on)
+    def test_no_draws_reduce_the_empty_datasets(self):
         thetas = MixtureModel().prior_sample(np.random.default_rng(0), 5)
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
@@ -283,21 +276,12 @@ class TestStreamedReduce:
             got = model.simulate_batch(thetas, n, 3, np.random.default_rng(1), lambda x: x.sum(axis=-1))
             assert np.array_equal(got, model.simulate_batch(thetas, n, 3, np.random.default_rng(1)).sum(axis=-1))
 
-    @pytest.mark.parametrize("on", [False, True], ids=["helper-off", "helper-on"])
     @pytest.mark.parametrize("fail_at", [1, 2, 5])
-    def test_a_failing_reduce_propagates_and_leaves_no_task_running(self, monkeypatch, on, fail_at):
-        """The blocks queued behind the failing one call ``reduce`` no more."""
-        monkeypatch.setattr(models, "_use_helper", on)
-        tasks = []
+    def test_a_failing_reduce_propagates_and_leaves_no_task_running(self, fail_at):
+        """The blocks queued behind the failing one call ``reduce`` no more.
 
-        beside = models.beside
-
-        def spy(pool, fn, *args):
-            tasks.append(None)  # stays None for a task that runs here, also one that raises
-            tasks[-1] = beside(pool, fn, *args)
-            return tasks[-1]
-
-        monkeypatch.setattr(models, "beside", spy)
+        The autouse ``no_helper_thread_left`` guard checks that the helper thread has ended.
+        """
         calls = []
 
         def reduce(sims):
@@ -310,8 +294,6 @@ class TestStreamedReduce:
         with pytest.raises(ValueError, match="reduce failed"):
             MixtureModel().simulate_batch(thetas, 90, 256, np.random.default_rng(1), reduce)
         assert len(calls) == fail_at
-        assert tasks and all(t is None or t.done() for t in tasks)
-        assert any(t is not None for t in tasks) == on
 
     def test_memory_holds_a_few_blocks(self):
         """N=500, M=256, n=90: the datasets alone would be 88 MiB; a block is 0.5 MiB, the (N, M) distances 1 MiB."""

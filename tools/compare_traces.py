@@ -21,8 +21,8 @@ a change that moves the random stream on purpose shows what each run spent.
 The runs of ``PINNED_RUNS`` (the moment statistic of ``mixture-adaptive-m``
 and the indicator statistic of ``exp3``) then run once more per checkout, in
 a child pinned to one CPU (``os.sched_setaffinity`` in the child only), where
-the package starts no helper thread; each side's pinned run must write the
-same bytes as its own unpinned run, so the line holds also for a change that
+the mixture's helper thread shares that CPU with the calling thread; each
+side's pinned run must write the same bytes as its own unpinned run, so the line holds also for a change that
 moves the random stream on purpose.  Where the platform has no
 ``sched_setaffinity`` these lines read ``skipped``.
 
@@ -130,7 +130,7 @@ EXPERIMENTS = ["exp1", "exp2", "exp3"]
 EXPERIMENT_OVERRIDES = ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16", "smc.mcmc_steps=2"]
 
 
-# the runs made again on one CPU, so without the helper thread: both mixture statistics
+# the runs made again on one CPU, which the helper thread shares: both mixture statistics
 PINNED_RUNS = ["mixture-adaptive-m", "exp3"]
 
 
