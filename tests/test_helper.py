@@ -23,6 +23,9 @@ from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec, row_blo
 N_OBS, M = 90, 8
 ROWS = rows_per_block(M * N_OBS)  # particles per simulator block
 
+# particle counts giving 1 block, 2 blocks, and many blocks with a short last one
+SIM_SIZES = [ROWS // 2, ROWS + 3, 5 * ROWS + 7]
+
 # datasets (rows of N_OBS) giving 1 summary block, 2 blocks, and many blocks with a short last one
 SUMMARY_SIZES = [rows_per_block(N_OBS) // 2, rows_per_block(N_OBS) + 5, 6 * rows_per_block(N_OBS) + 11]
 
@@ -51,10 +54,21 @@ def one_shot(thetas, n, m, rng, p=0.8):
     return np.where(u < p, mu1 + s1 * z, mu2 + s2 * z)
 
 
+@pytest.mark.parametrize("b", SIM_SIZES)
+def test_mixture_draws_same_bits_and_stream(b):
+    """The datasets and the generator's final state of one-shot draws, in one block or many."""
+    rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+    out = MixtureModel().simulate_batch(particles(b), N_OBS, M, rng)
+    assert np.array_equal(out, one_shot(particles(b), N_OBS, M, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["datasets", "reduced"])
 @pytest.mark.parametrize("float32_first", [False, True], ids=["aligned", "half-buffered"])
 @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"])
-def test_mixture_labels_on_any_generator_equal_one_shot_draws(bit_generator, float32_first):
-    """Uniforms then normals from one generator, whether the generator jumps past the labels or draws them.
+def test_mixture_labels_on_any_generator_equal_one_shot_draws(bit_generator, float32_first, reduced):
+    """Uniforms then normals from one generator, whether the generator jumps past the labels or draws them,
+    and whether the blocks are copied out as datasets or handed to ``reduce``.
 
     A float32 draw first leaves a buffered 32-bit half, which ``advance``
     would drop, so the generator's next float32 and normals are checked too.
@@ -64,18 +78,22 @@ def test_mixture_labels_on_any_generator_equal_one_shot_draws(bit_generator, flo
     if float32_first:
         rng.random(dtype=np.float32)
         ref.random(dtype=np.float32)
-    out = MixtureModel(p=0.7).simulate_batch(thetas, N_OBS, M, rng)
-    assert np.array_equal(out, one_shot(thetas, N_OBS, M, ref, p=0.7))
+    reduce = (lambda sims: sims.sum(axis=-1)) if reduced else None
+    out = MixtureModel(p=0.7).simulate_batch(thetas, N_OBS, M, rng, reduce)
+    expected = one_shot(thetas, N_OBS, M, ref, p=0.7)
+    if reduced:  # the sum of a block's rows equals that of the same rows of the whole array
+        expected = expected.reshape(-1, N_OBS).sum(axis=-1).reshape(len(thetas), M)
+    assert np.array_equal(out, expected)
     assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
     assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
-@pytest.mark.parametrize("m,n", [(M, 0), (0, N_OBS)], ids=["n=0", "m=0"])
-def test_mixture_without_draws_is_empty_and_consumes_nothing(m, n):
+@pytest.mark.parametrize("b,m,n", [(5, M, 0), (5, 0, N_OBS), (0, M, N_OBS)], ids=["n=0", "m=0", "B=0"])
+def test_mixture_without_draws_is_empty_and_consumes_nothing(b, m, n):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    out = MixtureModel().simulate_batch(particles(5), n, m, rng)
-    assert out.shape == (5, m, n)
+    out = MixtureModel().simulate_batch(particles(b), n, m, rng)
+    assert out.shape == (b, m, n)
     assert rng.bit_generator.state == state
 
 

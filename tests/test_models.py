@@ -229,6 +229,24 @@ def stream_reduce(sims):
     return distance_batch(DistanceSpec(), summarize_batch(STREAM_SUMMARY, sims), STREAM_OBS)
 
 
+class TestBlockedDatasets:
+    """``simulate_batch`` without ``reduce`` copies each block's datasets out through the rotating buffers."""
+
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
+    @pytest.mark.parametrize("m", [1, 3, 256, 1024])
+    def test_blocks_equal_one_shot_datasets(self, m, bit_generator):
+        """Four blocks or more, so every buffer is reused; at m=1024 a particle's datasets span two blocks or more."""
+        n = 90
+        b = max(3, int(3.3 * rows_per_block(n)) // m)
+        assert b * m > 3 * rows_per_block(n)
+        model = MixtureModel(p=0.7)
+        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(m), b)
+        rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
+        got = model.simulate_batch(thetas, n, m, rng)
+        assert np.array_equal(got, one_shot_mixture(model, thetas, n, m, ref))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
 class TestStreamedReduce:
     """``simulate_batch(..., reduce)`` equals ``reduce`` of the one-shot datasets, and leaves the generator alike."""
 
