@@ -20,11 +20,10 @@ from abcsmc.models import MixtureModel
 from abcsmc.smc import simulate_distances
 from abcsmc.statistics import BLOCK_ELEMENTS, DistanceSpec, SummarySpec, row_blocks, rows_per_block, summarize_batch
 
+from test_models import one_shot_mixture
+
 N_OBS, M = 90, 8
 ROWS = rows_per_block(M * N_OBS)  # particles per simulator block
-
-# particle counts giving 1 block, 2 blocks, and many blocks with a short last one
-SIM_SIZES = [ROWS // 2, ROWS + 3, 5 * ROWS + 7]
 
 # datasets (rows of N_OBS) giving 1 summary block, 2 blocks, and many blocks with a short last one
 SUMMARY_SIZES = [rows_per_block(N_OBS) // 2, rows_per_block(N_OBS) + 5, 6 * rows_per_block(N_OBS) + 11]
@@ -45,24 +44,6 @@ def particles(b: int) -> np.ndarray:
     return MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(b), b)
 
 
-def one_shot(thetas, n, m, rng, p=0.8):
-    """All B*m*n label uniforms, then all normals, in one draw each; (mu, s) of the label's component."""
-    u = rng.random((len(thetas), m, n))
-    z = rng.standard_normal((len(thetas), m, n))
-    mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
-    mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
-    return np.where(u < p, mu1 + s1 * z, mu2 + s2 * z)
-
-
-@pytest.mark.parametrize("b", SIM_SIZES)
-def test_mixture_draws_same_bits_and_stream(b):
-    """The datasets and the generator's final state of one-shot draws, in one block or many."""
-    rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-    out = MixtureModel().simulate_batch(particles(b), N_OBS, M, rng)
-    assert np.array_equal(out, one_shot(particles(b), N_OBS, M, ref))
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
 @pytest.mark.parametrize("reduced", [False, True], ids=["datasets", "reduced"])
 @pytest.mark.parametrize("float32_first", [False, True], ids=["aligned", "half-buffered"])
 @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"])
@@ -79,8 +60,9 @@ def test_mixture_labels_on_any_generator_equal_one_shot_draws(bit_generator, flo
         rng.random(dtype=np.float32)
         ref.random(dtype=np.float32)
     reduce = (lambda sims: sims.sum(axis=-1)) if reduced else None
-    out = MixtureModel(p=0.7).simulate_batch(thetas, N_OBS, M, rng, reduce)
-    expected = one_shot(thetas, N_OBS, M, ref, p=0.7)
+    model = MixtureModel(p=0.7)
+    out = model.simulate_batch(thetas, N_OBS, M, rng, reduce)
+    expected = one_shot_mixture(model, thetas, N_OBS, M, ref)
     if reduced:  # the sum of a block's rows equals that of the same rows of the whole array
         expected = expected.reshape(-1, N_OBS).sum(axis=-1).reshape(len(thetas), M)
     assert np.array_equal(out, expected)
@@ -232,9 +214,9 @@ def test_reduce_that_simulates_on_the_helper():
     def run():
         return model.simulate_batch(particles(b), N_OBS, M, np.random.default_rng(5), reduce)
 
-    data = one_shot(particles(b), N_OBS, M, np.random.default_rng(5)).reshape(b * M, N_OBS)
-    expected = [
-        data[d0:d1].sum(axis=-1) + one_shot(particles(2), N_OBS, M, np.random.default_rng(d1 - d0)).sum()
-        for d0, d1 in row_blocks(b * M, N_OBS)
-    ]
+    def one_shot(k, seed):
+        return one_shot_mixture(model, particles(k), N_OBS, M, np.random.default_rng(seed))
+
+    data = one_shot(b, 5).reshape(b * M, N_OBS)
+    expected = [data[d0:d1].sum(axis=-1) + one_shot(2, d1 - d0).sum() for d0, d1 in row_blocks(b * M, N_OBS)]
     assert np.array_equal(in_thread(run), np.concatenate(expected).reshape(b, M))

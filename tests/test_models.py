@@ -179,14 +179,9 @@ class TestMixtureModel:
     def test_blocked_draws_equal_one_shot_formula(self, rng, b, m, n):
         model = MixtureModel(p=0.7)
         thetas = model.prior_sample(rng, b)
-        sim_rng = np.random.default_rng(42)
+        sim_rng, naive_rng = np.random.default_rng(42), np.random.default_rng(42)
         out = model.simulate_batch(thetas, n, m, sim_rng)
-        naive_rng = np.random.default_rng(42)
-        mu1, s1 = thetas[:, 0, None, None], np.exp(thetas[:, 1, None, None])
-        mu2, s2 = thetas[:, 2, None, None], np.exp(thetas[:, 3, None, None])
-        u = naive_rng.random((b, m, n))
-        z = naive_rng.normal(size=(b, m, n))
-        assert np.array_equal(out, np.where(u < 0.7, mu1 + s1 * z, mu2 + s2 * z))
+        assert np.array_equal(out, one_shot_mixture(model, thetas, n, m, naive_rng))
         assert sim_rng.bit_generator.state == naive_rng.bit_generator.state
 
     def test_bad_parameters(self, rng):
@@ -229,31 +224,14 @@ def stream_reduce(sims):
     return distance_batch(DistanceSpec(), summarize_batch(STREAM_SUMMARY, sims), STREAM_OBS)
 
 
-class TestBlockedDatasets:
-    """``simulate_batch`` without ``reduce`` copies each block's datasets out through the rotating buffers."""
-
-    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
-    @pytest.mark.parametrize("m", [1, 3, 256, 1024])
-    def test_blocks_equal_one_shot_datasets(self, m, bit_generator):
-        """Four blocks or more, so every buffer is reused; at m=1024 a particle's datasets span two blocks or more."""
-        n = 90
-        b = max(3, int(3.3 * rows_per_block(n)) // m)
-        assert b * m > 3 * rows_per_block(n)
-        model = MixtureModel(p=0.7)
-        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(m), b)
-        rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
-        got = model.simulate_batch(thetas, n, m, rng)
-        assert np.array_equal(got, one_shot_mixture(model, thetas, n, m, ref))
-        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
-
-
 class TestStreamedReduce:
-    """``simulate_batch(..., reduce)`` equals ``reduce`` of the one-shot datasets, and leaves the generator alike."""
+    """``simulate_batch`` equals the one-shot datasets, or ``reduce`` of them, and leaves the generator alike."""
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["datasets", "reduced"])
     @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
     @pytest.mark.parametrize("m", [1, 3, 256, 1024])
-    def test_blocks_equal_one_shot_datasets(self, m, bit_generator):
-        """At m=1024 a particle's datasets span two blocks or more."""
+    def test_blocks_equal_one_shot_datasets(self, m, bit_generator, reduced):
+        """Four blocks or more, so every buffer is reused; at m=1024 a particle's datasets span two blocks or more."""
         n = 90
         b = max(3, int(3.3 * rows_per_block(n)) // m)  # three full blocks and a short one, or more
         model = MixtureModel(p=0.7)
@@ -265,9 +243,12 @@ class TestStreamedReduce:
             blocks.append(len(sims))
             return stream_reduce(sims)
 
-        got = model.simulate_batch(thetas, n, m, rng, reduce)
-        assert len(blocks) >= 4 and max(blocks) <= rows_per_block(n) and sum(blocks) == b * m
-        assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, n, m, ref)))
+        got = model.simulate_batch(thetas, n, m, rng, reduce if reduced else None)
+        expected = one_shot_mixture(model, thetas, n, m, ref)
+        if reduced:
+            assert len(blocks) >= 4 and max(blocks) <= rows_per_block(n) and sum(blocks) == b * m
+            expected = stream_reduce(expected)
+        assert np.array_equal(got, expected)
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
     def test_simulate_distances_equals_one_shot_pipeline(self):
