@@ -252,11 +252,7 @@ def corollary1_terms(constants: BoundConstants) -> BoundReport:
         "statistic_clt": 2.0 * c.var_proxy * c.m ** (1.0 / c.p + 1.0) / math.sqrt(c.n),
         "lipschitz": c.lipschitz * delta_star,
         "concentration": 2.0 * c.K * root_dn * mp,
-        "prior_mass": 2.0
-        * c.K
-        * root_dn
-        * mp
-        * (0.5 * math.log(8.0 * math.pi * c.n * c.d) + 1.0 / c.theta_var + 1.0 / (c.n * c.d)),
+        "prior_mass": -2.0 * c.K * mp * small_ball_log_prior_mass(c.d, c.theta_var, delta_star) / math.sqrt(c.d * c.n),
         "confidence": 2.0 * c.K * mp / math.sqrt(c.d * c.n) * math.log(2.0 / c.eps),
     }
     report = BoundReport(

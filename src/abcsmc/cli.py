@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import statistics as pystats
 import sys
@@ -101,7 +102,16 @@ def _load_run_config(args) -> dict:
     return cfgmod.apply_overrides(cfg, args.override)
 
 
-def _write_csv(path, header, rows):
+def _out_dir(path) -> Path:
+    """``--out``, refused now if it names a file; made at the first write, so a refused command leaves none."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, "File exists", str(out))
+    return out
+
+
+def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -151,12 +161,12 @@ def _execute(cfg: dict, seed: int):
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
     constants = cfgmod.build_bound_constants(cfg) if "bound" in cfg else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     t0 = time.perf_counter()
     model, summary, dist_spec, smc_cfg, observations, system, trace = _execute(cfg, args.seed)
     wall = time.perf_counter() - t0
 
+    out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
     if smc_cfg.store_snapshots:
         trace.snapshots_to_csv(out / "snapshots.csv")
@@ -218,9 +228,7 @@ def cmd_bound(args) -> int:
         raise InvalidConfigError(
             f"key 'beta_smooth' in constants file {args.constants} must be a number, not {extras['beta_smooth']!r}"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"bound_{args.mode}.csv"
+    path = _out_dir(args.out) / f"bound_{args.mode}.csv"
 
     if args.mode == "nonparam":
         # other keys are ignored: the same file may carry the BoundConstants of the other modes
@@ -280,8 +288,7 @@ def cmd_experiment(args) -> int:
     if min(seeds) < 0:  # refused before any seed's run, as SMCConfig.validate would refuse it at that run
         raise InvalidConfigError(f"--seeds: each seed must be >= 0, not {min(seeds)}")
     cfg = cfgmod.apply_overrides(cfgmod.preset(args.name), args.override)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     runner = {
         "exp1": _experiment1,
         "exp2": _experiment2,
@@ -289,22 +296,17 @@ def cmd_experiment(args) -> int:
         "toy-discrete": _experiment_toy,
         "toy-quadrature": _experiment_toy,
     }[args.name]
-    runner(cfg, seeds, out, args.name)
+    runner(cfg, seeds, out)
     print(f"experiment {args.name} complete: {len(seeds)} seed(s), artifacts in {out}")
     return 0
 
 
-def _seed_dir(out: Path, seed: int) -> Path:
-    d = out / f"seed_{seed}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _run_variant(cfg: dict, seed: int, out_dir: Path, tag: str, **smc_overrides):
-    """One run of a config variant; writes its trace under out_dir."""
+    """One run of a config variant; writes its trace under out_dir, made after the run."""
     cfg = json.loads(json.dumps(cfg))
     cfg["smc"].update(smc_overrides)
     model, summary, dist_spec, smc_cfg, observations, system, trace = _execute(cfg, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / f"trace_{tag}.csv")
     return model, summary, dist_spec, observations, system, trace
 
@@ -362,10 +364,10 @@ def _truth_stats(cfg: dict, summary, size: int = 1_000_000) -> np.ndarray:
     return summarize(summary, sample)
 
 
-def _experiment_toy(cfg, seeds, out, name):
+def _experiment_toy(cfg, seeds, out):
     rows = []
     for seed in seeds:
-        sd = _seed_dir(out, seed)
+        sd = out / f"seed_{seed}"
         model, summary, dist_spec, obs, system, trace = _run_variant(cfg, seed, sd, "main")
         row = [seed, len(trace), fmt(system.lam), fmt(system.log_z), system.sim_calls]
         if isinstance(model, DiscreteToyModel):
@@ -381,13 +383,13 @@ def _experiment_toy(cfg, seeds, out, name):
     )
 
 
-def _experiment1(cfg, seeds, out, name):
+def _experiment1(cfg, seeds, out):
     """Kernel comparison at equal budget (posterior-mean errors vs a 10x-particle
     reference) and acceptance-vs-lambda curves for adaptive-M vs fixed M=1."""
     err_rows, acc_rows, spend_rows = [], [], []
     n_ref = 10 * cfg["smc"]["n_particles"]
     for seed in seeds:
-        sd = _seed_dir(out, seed)
+        sd = out / f"seed_{seed}"
         _, _, _, _, sys_exp, tr_exp = _run_variant(cfg, seed, sd, "exponential")
         budget = sys_exp.sim_calls
         spend_rows.append(_spend_row(seed, "exponential", sys_exp, tr_exp))
@@ -409,11 +411,9 @@ def _experiment1(cfg, seeds, out, name):
     )
 
 
-def _experiment2(cfg, seeds, out, name):
+def _experiment2(cfg, seeds, out):
     """Misspecified MSE study over n plus the bound-vs-lambda table."""
     n_grid = cfg.get("n_grid", [30, 90, 270])
-    if not (isinstance(n_grid, list) and n_grid and all(type(n) is int and n >= 1 for n in n_grid)):
-        raise InvalidConfigError(f"n_grid must be a non-empty list of integers >= 1, not {n_grid!r}")
     constants = cfgmod.build_bound_constants(cfg)  # refused before any run
     summary = cfgmod.build_summary(cfg)
     s_true = _truth_stats(cfg, summary)
@@ -422,7 +422,7 @@ def _experiment2(cfg, seeds, out, name):
     bound_trace = None  # the trace of the first seed at the preset n, for the bound table
     for n in n_grid:
         for seed in seeds:
-            sd = _seed_dir(out, seed)
+            sd = out / f"seed_{seed}"
             ncfg = json.loads(json.dumps(cfg))
             ncfg["truth"]["n"] = n
             if "bound" in ncfg:
@@ -464,13 +464,13 @@ def _experiment2(cfg, seeds, out, name):
 
     # bound-vs-lambda table from the first seed at the preset n: that arm's run when n_grid holds it
     if bound_trace is None:
-        _, _, dist_spec, _, _, bound_trace = _run_variant(cfg, seeds[0], _seed_dir(out, seeds[0]), "bound_source")
+        _, _, dist_spec, _, _, bound_trace = _run_variant(cfg, seeds[0], out / f"seed_{seeds[0]}", "bound_source")
     _write_csv(
         out / "bound_table.csv", _BOUND_TABLE_HEADER, _bound_table_rows(bound_trace, constants, dist_spec.kind)
     )
 
 
-def _experiment3(cfg, seeds, out, name):
+def _experiment3(cfg, seeds, out):
     """Indicator statistics under the max-norm: per-threshold errors and the
     posterior-predictive histogram versus a budget-matched uniform baseline."""
     summary = cfgmod.build_summary(cfg)
@@ -479,7 +479,7 @@ def _experiment3(cfg, seeds, out, name):
     bins = np.linspace(-5.0, 5.0, 102)
     err_rows, dens_rows, spend_rows = [], [], []
     for seed in seeds:
-        sd = _seed_dir(out, seed)
+        sd = out / f"seed_{seed}"
         model, summ, dist_spec, obs, sys_abc, tr_abc = _run_variant(cfg, seed, sd, "abc")
         budget = sys_abc.sim_calls
         spend_rows.append(_spend_row(seed, "abc", sys_abc, tr_abc))

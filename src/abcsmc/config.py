@@ -60,6 +60,9 @@ def validate_config(cfg: dict) -> dict:
             raise InvalidConfigError(f"missing config section {section!r}")
     if "observations" not in cfg and "truth" not in cfg:
         raise InvalidConfigError("config needs either 'observations' or 'truth'")
+    n_grid = cfg.get("n_grid", [1])
+    if not (isinstance(n_grid, list) and n_grid and all(type(n) is int and n >= 1 for n in n_grid)):
+        raise InvalidConfigError(f"n_grid must be a non-empty list of integers >= 1, not {n_grid!r}")
     return cfg
 
 

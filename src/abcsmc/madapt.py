@@ -11,8 +11,8 @@ each applied to the whole particle system at once:
   draw from the augmented target, so particle weights are untouched.
 - Importance-sampling refresh (``is_refresh_system``): replace all
   replicates by fresh draws and correct the weights by the ratio of kernel
-  averages (``is_log_correction``).  The correction has heavy tails at large
-  lambda and is included as the unstable baseline.
+  averages (``is_log_correction``), normalized again.  The correction has
+  heavy tails at large lambda and is included as the unstable baseline.
 
 Both draw their fresh replicates through ``simulate(theta, m)``, the run's
 ``smc.simulator``: the (N, m) distances of m new datasets per particle.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidConfigError, InvalidInputError
+from .statistics import logsumexp
 
 
 def adapt_m(acceptance_rate: float, m: int, target: float, m_max: int) -> int:
@@ -73,8 +74,9 @@ def is_log_correction(dists_old: np.ndarray, dists_new: np.ndarray, lam: float, 
 
 
 def is_refresh_system(system, m_new, simulate, kernel) -> int:
-    """Replace all replicates by fresh ones and apply the importance correction."""
+    """Replace all replicates by fresh ones and apply the importance correction, leaving the weights normalized."""
     d_new = simulate(system.theta, m_new)
-    system.log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam, kernel)
+    log_weights = system.log_weights + is_log_correction(system.dists, d_new, system.lam, kernel)
+    system.log_weights = log_weights - logsumexp(log_weights, axis=0)
     system.dists = d_new
     return system.n_particles * m_new

@@ -10,8 +10,9 @@ mean replicate distance, and the eps rung is read off the sorted live
 replicate distances, where the uniform kernel's ESS jumps.  ``run_smc``
 runs every step as four phases on one ``ParticleSystem``: ``_select`` (the
 rung, and the stall policy), ``_reweight_resample`` (``reweight``, which also
-tracks log Z, then systematic resampling), ``_move`` (MCMC rejuvenation) and
-``_change_m`` (the replicate count M and its refresh).
+tracks log Z and leaves the weights normalized, then systematic resampling),
+``_move`` (MCMC rejuvenation) and ``_change_m`` (the replicate count M and
+its refresh).
 """
 
 from __future__ import annotations
@@ -127,12 +128,14 @@ def reweight(log_weights, log_z, dists, kernel, old, new):
     """Move the weights and the log Z estimate one ladder step, from old to new.
 
     Each particle's weight is multiplied by K_new(d)/K_old(d), the ratio of
-    its kernel sums over its replicate distances (a row of ``dists``), and
-    log Z gains the log of the weighted mean ratio (``log_weights``
-    normalized).  Returns the unnormalized log weights and the new log Z.
+    its kernel sums over its replicate distances (a row of ``dists``).  With
+    ``log_weights`` normalized, the log-sum-exp s of the new weights is the
+    log of their weighted mean ratio, the increment of log Z.  Returns the
+    new log weights less s, normalized again, and log_z + s.
     """
     log_weights = log_weights + (kernel.log_sum(dists, new) - _rung_log_sums(kernel, dists, old, log_weights))
-    return log_weights, log_z + logsumexp(log_weights, axis=0)
+    s = logsumexp(log_weights, axis=0)
+    return log_weights - s, log_z + s
 
 
 def _rung_log_sums(kernel, dists: np.ndarray, param: float, log_weights: np.ndarray) -> np.ndarray:
@@ -182,9 +185,6 @@ class ParticleSystem:
     @property
     def m_replicates(self) -> int:
         return self.dists.shape[1]
-
-    def normalize(self):
-        self.log_weights = self.log_weights - logsumexp(self.log_weights, axis=0)
 
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -530,7 +530,6 @@ def _reweight_resample(system: ParticleSystem, lam_new: float, kernel, rng, resa
     """Reweight to ``lam_new``, updating log Z, then resample systematically; returns the ESS before resampling."""
     log_w, system.log_z = reweight(system.log_weights, system.log_z, system.dists, kernel, system.lam, lam_new)
     system.log_weights = log_w
-    system.normalize()
     ess_sel = system.ess()
     system.lam = lam_new
     if resample:
@@ -570,7 +569,6 @@ def _change_m(system: ParticleSystem, config: SMCConfig, step: int, accept_rate:
         system.sim_calls += madapt.gibbs_refresh_system(system, m_new, simulate, rng, kernel)
     else:
         system.sim_calls += madapt.is_refresh_system(system, m_new, simulate, kernel)
-        system.normalize()
 
 
 def run_smc(
@@ -648,5 +646,5 @@ def posterior_at_lambda(trace: LadderTrace, lam: float):
         raise InvalidConfigError("trace carries no snapshots; rerun with store_snapshots=True")
     rec = min(candidates, key=lambda r: abs(r.lam - lam))
     theta, dists, log_w = rec.snapshot
-    log_w, log_norm = reweight(log_w, 0.0, dists, KERNELS[trace.kernel], rec.lam, lam)
-    return theta, np.exp(log_w - log_norm)
+    log_w, _ = reweight(log_w, 0.0, dists, KERNELS[trace.kernel], rec.lam, lam)
+    return theta, np.exp(log_w)

@@ -289,12 +289,17 @@ def _run_override(preset, *overrides):
     return lambda tmp_path: ["run", "--preset", preset, *TOY_FAST, *(f"--override={o}" for o in overrides)]
 
 
-def _run_without_obs_probs(tmp_path):
-    cfg = cfgmod.preset("toy-discrete")
-    del cfg["model"]["obs_probs"]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    return ["run", "--config", str(path), *TOY_FAST]
+def _run_config(edit):
+    """``run --config`` on the toy-discrete preset as ``edit`` leaves it."""
+
+    def argv(tmp_path):
+        cfg = cfgmod.preset("toy-discrete")
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return ["run", "--config", str(path), *TOY_FAST]
+
+    return argv
 
 
 # a three-rung lambda ladder, enough for the adaptive mode's default grid
@@ -311,7 +316,8 @@ def _bound_constants(doc, mode="cor1", trace_csv=LADDER_CSV):
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         trace = []
         if mode in ("empirical", "adaptive"):
-            (tmp_path / "trace.csv").write_text(trace_csv)
+            if trace_csv is not None:  # None: a trace file that does not exist
+                (tmp_path / "trace.csv").write_text(trace_csv)
             trace = ["--trace", str(tmp_path / "trace.csv")]
         return ["bound", "--constants", str(path), "--mode", mode, *trace]
 
@@ -339,7 +345,7 @@ BAD_INPUTS = {
     # an M below 1 cannot be drawn: trace.csv would record it while each particle keeps one replicate
     "smc-m-schedule-zero": (_run_override("toy-discrete", 'smc.m_schedule={"2":0}'), ["m_schedule", ">= 1"]),
     "smc-m-schedule-negative": (_run_override("toy-discrete", 'smc.m_schedule={"2":-1}'), ["m_schedule", ">= 1"]),
-    "model-without-obs-probs": (_run_without_obs_probs, ["'model'", "'obs_probs'"]),
+    "model-without-obs-probs": (_run_config(lambda cfg: cfg["model"].pop("obs_probs")), ["'model'", "'obs_probs'"]),
     # runs that would end before their first rung: no step allowed, or a budget the first draw spends
     "smc-max-steps-zero": (_run_override("toy-discrete", "smc.max_steps=0"), ["max_steps", ">= 1"]),
     "smc-max-steps-negative": (_run_override("toy-quadrature", "smc.max_steps=-1"), ["max_steps", ">= 1"]),
@@ -424,7 +430,17 @@ BAD_INPUTS = {
             ("string", '["x"]'), ("number", "5"), ("empty", "[]"), ("zero", "[0]"), ("boolean", "[true]")
         ]
     },
+    # every command checks n_grid, not only the study that reads it
+    "run-config-n-grid": (_run_config(lambda cfg: cfg.update(n_grid=[30, 0])), ["n_grid", ">= 1"]),
+    "experiment-exp3-n-grid": (
+        lambda tmp_path: ["experiment", "exp3", "--seeds", "7", "--override", 'n_grid="x"'], ["n_grid", ">= 1"]
+    ),
+    # refused inside the study's first run, after the command has read its seeds
+    "experiment-exp1-unknown-key": (
+        lambda tmp_path: ["experiment", "exp1", "--seeds", "7", "--override", "smc.bogus=1"], ["'smc'", "'bogus'"]
+    ),
     # input files that cannot be read as such
+    "trace-missing": (_bound_constants(TestBound.CONSTANTS, "empirical", None), ["No such file", "trace.csv"]),
     "trace-without-step-column": (
         _bound_constants(
             TestBound.CONSTANTS, "empirical", "\n".join(line.split(",", 1)[1] for line in LADDER_CSV.splitlines())
@@ -448,11 +464,15 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_config_input_exits_2(case, tmp_path, capsys):
     argv, named = BAD_INPUTS[case]
-    rc = cli.main([*argv(tmp_path), "--out", str(tmp_path / "out")])
+    args, out = argv(tmp_path), tmp_path / "out"
+    existing_file = out.exists()
+    rc = cli.main([*args, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2, err
     for text in named:
         assert text in err
+    # a refused command creates no output directory (and leaves a file named by --out as it was)
+    assert out.is_file() if existing_file else not out.exists()
 
 
 class TestExperiments:

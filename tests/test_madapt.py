@@ -13,7 +13,7 @@ from abcsmc.madapt import (
 )
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ParticleSystem, simulator
-from abcsmc.statistics import DistanceSpec, ExponentialKernel, SummarySpec, UniformKernel
+from abcsmc.statistics import DistanceSpec, ExponentialKernel, SummarySpec, UniformKernel, logsumexp
 
 
 class TestAdaptM:
@@ -199,7 +199,9 @@ class TestISRefresh:
         expected = lw0 + np.log(
             (3 * np.exp(-lam * system.dists).sum(axis=1) / 6) / np.exp(-lam * d_old).sum(axis=1)
         )
+        expected -= logsumexp(expected, axis=0)
         np.testing.assert_allclose(system.log_weights, expected, rtol=1e-12)
+        assert abs(logsumexp(system.log_weights, axis=0)) <= 4 * np.finfo(float).eps  # left normalized
 
     def test_is_correction_unbiased_in_expectation(self, rng):
         # E[w] over fresh replicates equals 1 when weights average kernel

@@ -97,9 +97,10 @@ class TestLogsumexpEss:
 
 
 def weight_increment(dists, lam_new, lam_old):
-    """The log weight increment of one particle (a row of replicate distances) under ``reweight``."""
-    log_weights, _ = reweight(np.zeros(1), 0.0, np.atleast_2d(dists), ExponentialKernel, lam_old, lam_new)
-    return log_weights[0]
+    """The log weight increment of one particle (a row of replicate distances) under ``reweight``:
+    the log Z that a lone particle of weight 1 adds."""
+    _, log_z = reweight(np.zeros(1), 0.0, np.atleast_2d(dists), ExponentialKernel, lam_old, lam_new)
+    return log_z
 
 
 class TestIncrementalWeights:
@@ -120,8 +121,8 @@ class TestInfiniteDistanceAtLambdaZero:
         dists = np.array([[math.inf], [1.0], [2.0]])
         lw, log_z = reweight(np.full(3, -math.log(3)), 0.0, dists, ExponentialKernel, 0.0, 1.0)
         assert lw[0] == -math.inf
-        assert_same_bits(lw[1:], -math.log(3) - np.array([1.0, 2.0]))
         assert math.isfinite(log_z)
+        assert_same_bits(lw[1:], (-math.log(3) - np.array([1.0, 2.0])) - log_z)
         lam = find_next_lambda(make_system(dists), 0.5, 10.0, kernel=ExponentialKernel)
         assert 0.0 < lam < 10.0
 
@@ -413,8 +414,13 @@ class TestUpdateLogZ:
         naive = -1.25 + math.log(
             np.sum(w * (np.exp(-lam_new * d).sum(axis=1) / np.exp(-0.5 * d).sum(axis=1)))
         )
-        _, log_z = reweight(lw, -1.25, d, ExponentialKernel, 0.5, lam_new)
+        got, log_z = reweight(lw, -1.25, d, ExponentialKernel, 0.5, lam_new)
         assert log_z == pytest.approx(naive, rel=1e-12)
+        # log Z gains the log-sum-exp of the moved weights, and the weights lose it: they leave normalized
+        moved = lw + (ExponentialKernel.log_sum(d, lam_new) - ExponentialKernel.log_sum(d, 0.5))
+        assert_same_bits(log_z, -1.25 + logsumexp(moved, axis=0))
+        assert_same_bits(got, moved - logsumexp(moved, axis=0))
+        assert abs(logsumexp(got, axis=0)) <= 4 * np.finfo(float).eps
 
 
 class TestSimulateDistances:
@@ -870,10 +876,13 @@ class TestSamplerInvariants:
         ).validate()
         increments = []
 
-        def recording_reweight(log_weights, *args):
-            out = reweight(log_weights, *args)
+        def recording_reweight(log_weights, log_z, dists, kernel, old, new):
+            out = reweight(log_weights, log_z, dists, kernel, old, new)
             alive = np.isfinite(log_weights)
-            increments.append(out[0][alive] - log_weights[alive])
+            inc = kernel.log_sum(dists[alive], new) - kernel.log_sum(dists[alive], old)
+            increments.append(inc)
+            # the weights reweight returns are these increments less log Z's, normalized
+            np.testing.assert_allclose(out[0][alive] - log_weights[alive], inc - (out[1] - log_z), atol=1e-9)
             return out
 
         with mock.patch.object(smc, "reweight", recording_reweight):

@@ -26,7 +26,8 @@ side's pinned run must write the same bytes as its own unpinned run, so the line
 moves the random stream on purpose.  Where the platform has no
 ``sched_setaffinity`` these lines read ``skipped``.
 
-Then ``abcsmc experiment exp1|exp2|exp3 --seeds 7`` runs once per checkout,
+Then ``abcsmc experiment NAME --seeds 7`` runs once per checkout for every
+experiment (``EXPERIMENTS``: exp1, exp2, exp3 and the two toy studies),
 shrunk by ``EXPERIMENT_OVERRIDES``, and every CSV it writes is compared byte
 for byte: one line per file, with the largest relative difference of its
 numeric cells when the two files differ in numbers only.
@@ -126,7 +127,7 @@ def runs(work: Path) -> list[tuple[str, list[str]]]:
 
 
 # every experiment, shrunk from minutes to seconds
-EXPERIMENTS = ["exp1", "exp2", "exp3"]
+EXPERIMENTS = ["exp1", "exp2", "exp3", "toy-discrete", "toy-quadrature"]
 EXPERIMENT_OVERRIDES = ["smc.n_particles=300", "smc.lambda_target=4", "smc.m_max=16", "smc.mcmc_steps=2"]
 
 
