@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import re
 
 import numpy as np
 
@@ -152,15 +153,25 @@ def build_bound_constants(cfg: dict) -> BoundConstants:
     return constants
 
 
+def _schedule_step(key) -> int:
+    """An ``m_schedule`` step: an integer, or the decimal digits of one (JSON object keys are strings)."""
+    if type(key) is int:
+        return key
+    if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key):
+        return int(key)
+    raise InvalidConfigError(f"key 'm_schedule' in config section 'smc' must map integer steps to counts, not {key!r}")
+
+
 def build_smc_config(cfg: dict, seed: int | None = None) -> SMCConfig:
     section = keyword_args("config section 'smc'", cfg["smc"], SMCConfig)
     if seed is not None:
         section["seed"] = seed
     if section.get("m_schedule"):
-        try:
-            section["m_schedule"] = {int(k): int(v) for k, v in section["m_schedule"].items()}
-        except (TypeError, ValueError):
-            raise InvalidConfigError("key 'm_schedule' in config section 'smc' must map steps to counts") from None
+        section["m_schedule"] = {_schedule_step(k): v for k, v in section["m_schedule"].items()}
+        if not all(type(v) is int for v in section["m_schedule"].values()):
+            raise InvalidConfigError(
+                f"key 'm_schedule' in config section 'smc' must map steps to integer counts, not {section['m_schedule']!r}"
+            )
     return SMCConfig(**section).validate()
 
 

@@ -449,7 +449,8 @@ class SMCConfig:
     """Inputs of the SMC driver, checked by ``validate`` (``run_smc`` calls it).
 
     Fixed, not set: M = 1 at the first draw, the 2.38^2/d proposal scale
-    (``mcmc.calibrate``), the lambda search's 1e-4 * N ESS tolerance and ``SNAPSHOT_MAX``.
+    (``mcmc.calibrate``), the MH screen's covariance inflation (``mcmc.SCREEN_INFLATION``),
+    the lambda search's 1e-4 * N ESS tolerance and ``SNAPSHOT_MAX``.
     """
 
     n_particles: int = 1000
@@ -485,6 +486,8 @@ class SMCConfig:
             raise InvalidConfigError(f"unknown m_change {self.m_change!r}")
         if self.on_stall not in ("raise", "stop", "advance"):
             raise InvalidConfigError(f"unknown on_stall {self.on_stall!r}")
+        if not 0.0 <= self.accept_target <= 1.0:  # outside, M would double at every step, or never
+            raise InvalidConfigError(f"accept_target must lie in [0, 1], not {self.accept_target}")
         if self.m_max < 1:
             raise InvalidConfigError("m_max must be >= 1")
         if self.m_schedule and min(min(self.m_schedule), min(self.m_schedule.values())) < 1:
@@ -543,8 +546,11 @@ def _reweight_resample(system: ParticleSystem, lam_new: float, kernel, rng, resa
 def _move(system: ParticleSystem, model, simulate, kernel, rng, k_steps: int) -> float:
     """K MCMC sweeps, the proposal calibrated on the particles.
 
-    Returns the acceptance among the simulated proposals (``mcmc.rejuvenate``;
-    1 without sweeps), which the M rule reads and the trace records.
+    ``mcmc.calibrate`` gives a continuous model's random-walk factor, which
+    ``mcmc.rejuvenate`` also reads for its screen: a Gaussian fit to the
+    population this call starts from.  Returns the acceptance among the
+    simulated proposals, those that passed the screen (1 without sweeps),
+    which the M rule reads and the trace records.
     """
     if k_steps == 0:
         return 1.0

@@ -211,9 +211,10 @@ def test_criterion_04_bisection_contract():
 
 
 def test_criterion_05_mh_correctness():
-    # the two-stage log acceptance that rejuvenate applies: stage_log_accept of
-    # the prior densities plus that of each state's log kernel sum.  The
-    # mutant applies the prior ratio in both stages, and must be caught.
+    # the two-stage log acceptance that rejuvenate applies to discrete models:
+    # stage_log_accept of the prior densities plus that of each state's log
+    # kernel sum.  The mutant applies the prior ratio in both stages, and must
+    # be caught.
     def log_accept(dc, dp, lam, lpc, lpp, prior_in_both=False):
         log_alpha = stage_log_accept(np.array([lpc]), np.array([lpp]))
         lkc = ExponentialKernel.log_sum(np.asarray([dc], dtype=float), lam)
@@ -259,19 +260,50 @@ def test_criterion_05_mh_correctness():
     mu = np.array([prior[i] * lik[i][x] * math.exp(-lam * dvec[x]) for i, x in states])
     mu /= mu.sum()
 
-    def flow_asymmetry(prior_in_both):
+    def flow_asymmetry(log_accept_of):
+        """Largest |flow(a, b) - flow(b, a)| of the chain whose move (i, x) -> (j, xp) has log acceptance log_accept_of."""
         trans = np.zeros((len(states), len(states)))
         for a, (i, x) in enumerate(states):
             for b, (j, xp) in enumerate(states):
-                la = log_accept([dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j]), prior_in_both)
-                trans[a, b] += 0.5 * lik[j][xp] * math.exp(la)
+                trans[a, b] += 0.5 * lik[j][xp] * math.exp(log_accept_of(i, x, j, xp))
             trans[a, a] += 1.0 - trans[a].sum()
         flow = mu[:, None] * trans
         return float(np.abs(flow - flow.T).max())
 
-    db_err, mutant_err = flow_asymmetry(False), flow_asymmetry(True)
+    def prior_screened(prior_in_both):
+        return lambda i, x, j, xp: log_accept(
+            [dvec[x]], [dvec[xp]], lam, math.log(prior[i]), math.log(prior[j]), prior_in_both
+        )
+
+    # (c) the same chain screened on a surrogate, as rejuvenate screens continuous
+    # models: any fixed log density over the atoms in stage 1, then log prior +
+    # log kernel sum - log screen in stage 2.  The mutant leaves -log screen out.
+    log_screen = [0.7, -1.3]
+
+    def surrogate_screened(keep_screen):
+        def log_accept_of(i, x, j, xp):
+            log_alpha = stage_log_accept(np.array([log_screen[i]]), np.array([log_screen[j]]))
+            rest = [
+                math.log(prior[k]) + ExponentialKernel.log_sum(np.array([[dvec[dk]]]), lam)
+                - (log_screen[k] if keep_screen else 0.0)
+                for k, dk in ((i, x), (j, xp))
+            ]
+            log_alpha += stage_log_accept(*rest)
+            return float(log_alpha[0])
+
+        return log_accept_of
+
+    db_err, mutant_err = flow_asymmetry(prior_screened(False)), flow_asymmetry(prior_screened(True))
+    screen_err, screen_mutant_err = flow_asymmetry(surrogate_screened(True)), flow_asymmetry(surrogate_screened(False))
     ok = worst_ratio <= 1e-12 and db_err <= 1e-12 and mutant_err > 1e-6
-    _report(5, ok, f"two-stage acceptance vs naive: max err = {worst_ratio:.2e} (<= 1e-12); detailed-balance flow asymmetry = {db_err:.2e} (<= 1e-12); prior in both stages = {mutant_err:.2e} (> 1e-6)")
+    ok = ok and screen_err <= 1e-12 and screen_mutant_err > 1e-6
+    _report(
+        5,
+        ok,
+        f"two-stage acceptance vs naive: max err = {worst_ratio:.2e} (<= 1e-12); detailed-balance flow asymmetry = {db_err:.2e} (<= 1e-12); "
+        f"prior in both stages = {mutant_err:.2e} (> 1e-6); fixed surrogate screen = {screen_err:.2e} (<= 1e-12); "
+        f"screen left out of stage 2 = {screen_mutant_err:.2e} (> 1e-6)",
+    )
 
 
 def test_criterion_06_gibbs_refresh_marginal():

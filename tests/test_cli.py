@@ -345,6 +345,15 @@ BAD_INPUTS = {
     # an M below 1 cannot be drawn: trace.csv would record it while each particle keeps one replicate
     "smc-m-schedule-zero": (_run_override("toy-discrete", 'smc.m_schedule={"2":0}'), ["m_schedule", ">= 1"]),
     "smc-m-schedule-negative": (_run_override("toy-discrete", 'smc.m_schedule={"2":-1}'), ["m_schedule", ">= 1"]),
+    # counts that used to be cut to an integer: 2.5 ran at M=2, true at M=1 and "4" at M=4
+    "smc-m-schedule-fraction": (_run_override("toy-discrete", 'smc.m_schedule={"2":2.5}'), ["m_schedule", "integer"]),
+    "smc-m-schedule-boolean": (_run_override("toy-discrete", 'smc.m_schedule={"2":true}'), ["m_schedule", "integer"]),
+    "smc-m-schedule-string": (_run_override("toy-discrete", 'smc.m_schedule={"2":"4"}'), ["m_schedule", "integer"]),
+    # an acceptance rate outside [0, 1]: M would double at every step, or never
+    "smc-accept-target-above-one": (_run_override("toy-discrete", "smc.accept_target=5"), ["accept_target", "[0, 1]"]),
+    "smc-accept-target-negative": (
+        _run_override("toy-discrete", "smc.accept_target=-0.5"), ["accept_target", "[0, 1]"]
+    ),
     "model-without-obs-probs": (_run_config(lambda cfg: cfg["model"].pop("obs_probs")), ["'model'", "'obs_probs'"]),
     # runs that would end before their first rung: no step allowed, or a budget the first draw spends
     "smc-max-steps-zero": (_run_override("toy-discrete", "smc.max_steps=0"), ["max_steps", ">= 1"]),

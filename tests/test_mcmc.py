@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from abcsmc.exceptions import InvalidInputError
-from abcsmc.mcmc import calibrate, rejuvenate, stage_log_accept
+from abcsmc.mcmc import SCREEN_INFLATION, calibrate, rejuvenate, stage_log_accept
 from abcsmc.models import GaussianLocationModel
 from abcsmc.smc import ExponentialKernel, ParticleSystem, simulator
-from abcsmc.statistics import DistanceSpec, SummarySpec
+from abcsmc.statistics import DistanceSpec, SummarySpec, UniformKernel
 
 from test_models import small_discrete_model
 from test_statistics import assert_same_bits
@@ -153,6 +153,48 @@ class TestRejuvenate:
         np.testing.assert_allclose(after, warm, atol=0.01)
         np.testing.assert_allclose(after, target, atol=0.01)
 
+    def test_gaussian_screen_keeps_the_exact_pseudo_posterior(self):
+        # the uniform-kernel pseudo-posterior of the Gaussian location model
+        # under the mean statistic has a closed form: theta ~ N(0, v) weighted
+        # by P(|ybar_sim - ybar| <= eps | theta), ybar_sim ~ N(theta, 1/n).
+        # Chains started from it, screened on the population's Gaussian fit,
+        # must keep its mean and sd
+        model = GaussianLocationModel(prior_var=4.0, noise_sd=1.0)
+        n_obs, eps, n = 50, 0.1, 20_000
+        obs = np.random.default_rng(3).normal(0.5, 1.0, size=n_obs)
+        ybar = float(obs.mean())
+        rng = np.random.default_rng(8)
+        # the joint (theta, d) target by rejection from the prior and the mean's own law
+        theta = rng.normal(0.0, 2.0, size=40 * n)
+        dists = np.abs(theta + rng.normal(size=theta.size) / math.sqrt(n_obs) - ybar)
+        inside = np.flatnonzero(dists <= eps)[:n]
+        assert inside.size == n
+        grid = np.linspace(ybar - 1.5, ybar + 1.5, 60_001)
+        cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)))
+        dens = np.exp(-grid**2 / 8.0) * (
+            cdf(math.sqrt(n_obs) * (ybar + eps - grid)) - cdf(math.sqrt(n_obs) * (ybar - eps - grid))
+        )
+        dens /= dens.sum()
+        exact_mean = float((grid * dens).sum())
+        exact_sd = math.sqrt(float(((grid - exact_mean) ** 2 * dens).sum()))
+
+        simulate = simulator(model, SummarySpec(kind="mean"), DistanceSpec(kind="lp", p=2), obs, rng)
+        system = ParticleSystem(
+            theta=theta[inside, None].copy(),
+            dists=dists[inside, None].copy(),
+            log_weights=np.full(n, -math.log(n)),
+            lam=eps,
+            log_z=0.0,
+        )
+        start = system.theta.copy()
+        rate, _ = rejuvenate(system, model, simulate, UniformKernel, rng, calibrate(system.theta), 10)
+        assert 0.2 < rate < 1.0
+        assert np.mean(system.theta != start) > 0.5  # most chains have moved
+        mean, sd = float(system.theta.mean()), float(system.theta.std())
+        # five standard errors of n independent draws
+        assert abs(mean - exact_mean) < 5 * exact_sd / math.sqrt(n)
+        assert abs(sd - exact_sd) < 5 * exact_sd / math.sqrt(2 * n)
+
     def test_continuous_model_moves_and_counts_sims(self, rng):
         model = GaussianLocationModel()
         summary = SummarySpec(kind="mean")
@@ -177,7 +219,7 @@ class TestRejuvenate:
             return simulate(theta, m)
 
         rate, sims = rejuvenate(system, model, spy, ExponentialKernel, rng, chol, k)
-        # one call per sweep, on the proposals that pass the prior stage: some, not all
+        # one call per sweep, on the proposals that pass the screen: some, not all
         assert len(rows) == k and 0 < sum(rows) < n * k
         assert sims == sum(rows) * m
         assert 0.0 < rate < 1.0
@@ -187,37 +229,52 @@ class TestRejuvenate:
 
 
 def copyto_rejuvenate(system, model, simulate, kernel, rng, chol, k_steps):
-    """``rejuvenate`` with boolean masks, a masked ``np.copyto`` per array and each proposal's prior found from its value.
+    """``rejuvenate`` with boolean masks, a masked ``np.copyto`` per array and each density found from its value.
 
     The reference for its index arithmetic (screened rows, then accepted
-    ones among them) and for its atom proposals' prior, read off the drawn index.
+    ones among them), for its atom proposals' prior, read off the drawn index,
+    and for its Gaussian screen, carried in whitened coordinates: here the
+    screen is recomputed from the parameter itself at every sweep.
     """
     n, m = system.dists.shape
     atoms = model.theta_atoms
-    log_prior = model.prior_logpdf_batch(system.theta)
-    log_kern = kernel.log_sum(system.dists, system.lam)
+    if atoms is None:
+        mu = system.theta.mean(axis=0)
+        scale = 2.38**2 / (2.0 * SCREEN_INFLATION * system.theta.shape[1])
+
+        def log_screen(theta):
+            w = np.linalg.solve(chol, (theta - mu).T).T
+            return -scale * (w * w).sum(axis=1)
+
+    else:
+        log_screen = model.prior_logpdf_batch
+    log_rest = model.prior_logpdf_batch(system.theta) - log_screen(system.theta) + kernel.log_sum(
+        system.dists, system.lam
+    )
     accepts = simulated = 0
     for _ in range(k_steps):
         if atoms is not None:
             prop = atoms[rng.integers(0, len(atoms), size=n)]
         else:
             prop = system.theta + rng.standard_normal(system.theta.shape) @ chol.T
-        lp_prop = model.prior_logpdf_batch(prop)
         log_u = np.log(rng.random(n))
-        log_alpha = stage_log_accept(log_prior, lp_prop)
+        log_alpha = stage_log_accept(log_screen(system.theta), log_screen(prop))
         screened = log_u < log_alpha
         d_prop = np.full((n, m), np.nan)
-        lk_prop = np.full(n, np.nan)
+        lr_prop = np.full(n, np.nan)
         d_prop[screened] = simulate(prop[screened], m)
-        lk_prop[screened] = kernel.log_sum(d_prop[screened], system.lam)
+        lr_prop[screened] = (
+            model.prior_logpdf_batch(prop[screened])
+            - log_screen(prop[screened])
+            + kernel.log_sum(d_prop[screened], system.lam)
+        )
         acc = screened.copy()
         acc[screened] = log_u[screened] < log_alpha[screened] + stage_log_accept(
-            log_kern[screened], lk_prop[screened]
+            log_rest[screened], lr_prop[screened]
         )
         np.copyto(system.theta, prop, where=acc[:, None])
         np.copyto(system.dists, d_prop, where=acc[:, None])
-        np.copyto(log_prior, lp_prop, where=acc)
-        np.copyto(log_kern, lk_prop, where=acc)
+        np.copyto(log_rest, lr_prop, where=acc)
         accepts += int(acc.sum())
         simulated += int(screened.sum())
     return (accepts / simulated if simulated else 1.0), simulated * m

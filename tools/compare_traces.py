@@ -15,8 +15,9 @@ counts as identical only if both sides exit 0, both write ``trace.csv``,
 and both write the same files with the same bytes, except
 ``summary.json``'s ``wall_time_s``.  One line is printed per run; under a
 run that differs, a second line gives its ``status``, ``steps``,
-``lambda_final`` and ``sim_calls`` as base -> change (``SHIFT_FIELDS``), so
-a change that moves the random stream on purpose shows what each run spent.
+``lambda_final``, ``m_final`` and ``sim_calls`` as base -> change
+(``SHIFT_FIELDS``), so a change that moves the random stream on purpose
+shows what each run spent and the M it ended at.
 
 The runs of ``PINNED_RUNS`` (the moment statistic of ``mixture-adaptive-m``
 and the indicator statistic of ``exp3``) then run once more per checkout, in
@@ -213,7 +214,7 @@ def verdict(codes: dict[str, int], base: Path, change: Path) -> str:
 
 
 # summary.json fields shown, base -> change, under a run that differs
-SHIFT_FIELDS = ["status", "steps", "lambda_final", "sim_calls"]
+SHIFT_FIELDS = ["status", "steps", "lambda_final", "m_final", "sim_calls"]
 
 
 def shift(base: Path, change: Path) -> str | None:
