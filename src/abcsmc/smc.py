@@ -44,10 +44,6 @@ from .statistics import (
 )
 
 
-# Raw simulated values per replicate chunk of simulate_distances (160 MB of float64).  The chunks
-# fix the random stream for large M; the mixture streams each one through the statistic in blocks
-# of at most ``statistics.BLOCK_ELEMENTS`` values, the other simulators build it whole.
-MAX_SIM_ELEMENTS = 20_000_000
 # Most snapshots a run with store_snapshots keeps (``_thin_snapshots``)
 SNAPSHOT_MAX = 200
 
@@ -66,30 +62,21 @@ def simulate_distances(
 
     The datasets are drawn from ``model.reduced(summary, n_obs)``, which
     gives the same statistic law at a size of at most n_obs (the Gaussian
-    sample mean is drawn as one observation).  Replicates are simulated in
-    chunks of at most ``MAX_SIM_ELEMENTS`` raw values, one ``simulate_batch``
-    call each.  That call gets a ``reduce`` that summarizes datasets and
-    measures their distances (``summarize_batch`` and ``distance_batch``,
-    looked up on this module at call time), so the simulator hands back
-    distances and, for the mixture, never holds the (N, chunk, n) datasets
-    at once.  A NaN distance (a simulator whose output overflowed, say)
-    becomes +inf: kernel value 0 at every rung past the first, rather than
-    a NaN weight and log Z.
+    sample mean is drawn as one observation), in one ``simulate_batch``
+    call with a ``reduce`` that summarizes datasets and measures their
+    distances (``summarize_batch`` and ``distance_batch``, looked up on this
+    module at call time).  The model alone bounds the raw datasets held at
+    once (``models``: the mixture and the Gaussian stream row blocks, the
+    discrete toy builds its small datasets whole).  A NaN distance (a
+    simulator whose output overflowed, say) becomes +inf: kernel value 0
+    at every rung past the first, rather than a NaN weight and log Z.
     """
     model, n_obs = model.reduced(summary, n_obs)
-    n_particles = theta.shape[0]
-    chunk = max(1, min(m, MAX_SIM_ELEMENTS // max(1, n_particles * n_obs)))
 
     def reduce(sims):
         return distance_batch(dist_spec, summarize_batch(summary, sims), observed_stats)
 
-    if chunk >= m:  # one chunk: its distances are the result, without a copy
-        out = model.simulate_batch(theta, n_obs, m, rng, reduce)
-    else:
-        out = np.empty((n_particles, m))
-        for j0 in range(0, m, chunk):
-            j1 = min(m, j0 + chunk)
-            out[:, j0:j1] = model.simulate_batch(theta, n_obs, j1 - j0, rng, reduce)
+    out = model.simulate_batch(theta, n_obs, m, rng, reduce)
     out[np.isnan(out)] = math.inf
     return out
 

@@ -132,8 +132,8 @@ def summarize_batch(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
 
 
 def rows_per_block(row_len: int) -> int:
-    """Rows of row_len elements that fill one block of BLOCK_ELEMENTS (at least one)."""
-    return max(1, BLOCK_ELEMENTS // row_len)
+    """Rows of row_len elements that fill one block of BLOCK_ELEMENTS (at least one, also for row_len 0)."""
+    return max(1, BLOCK_ELEMENTS // max(1, row_len))
 
 
 def row_blocks(rows: int, row_len: int):

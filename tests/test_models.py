@@ -224,18 +224,32 @@ def stream_reduce(sims):
     return distance_batch(DistanceSpec(), summarize_batch(STREAM_SUMMARY, sims), STREAM_OBS)
 
 
+def one_shot(model, thetas, n, m, rng):
+    """The datasets of one draw of each full shape, in the model's stream order."""
+    if isinstance(model, MixtureModel):
+        return one_shot_mixture(model, thetas, n, m, rng)
+    return rng.normal(size=(len(thetas), m, n)) * model.noise_sd + thetas[:, 0, None, None]
+
+
+# the streaming simulators, each with the prior its test parameters are drawn from
+STREAMED = [
+    pytest.param(MixtureModel(p=0.7), MixtureModel(mu_prior_sd=3.0), id="mixture"),
+    pytest.param(GaussianLocationModel(noise_sd=0.7), GaussianLocationModel(prior_var=4.0), id="gaussian"),
+]
+
+
 class TestStreamedReduce:
     """``simulate_batch`` equals the one-shot datasets, or ``reduce`` of them, and leaves the generator alike."""
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["datasets", "reduced"])
     @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
     @pytest.mark.parametrize("m", [1, 3, 256, 1024])
-    def test_blocks_equal_one_shot_datasets(self, m, bit_generator, reduced):
+    @pytest.mark.parametrize("model, prior", STREAMED)
+    def test_blocks_equal_one_shot_datasets(self, model, prior, m, bit_generator, reduced):
         """Four blocks or more, so every buffer is reused; at m=1024 a particle's datasets span two blocks or more."""
         n = 90
         b = max(3, int(3.3 * rows_per_block(n)) // m)  # three full blocks and a short one, or more
-        model = MixtureModel(p=0.7)
-        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(m), b)
+        thetas = prior.prior_sample(np.random.default_rng(m), b)
         rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
         blocks = []
 
@@ -244,7 +258,7 @@ class TestStreamedReduce:
             return stream_reduce(sims)
 
         got = model.simulate_batch(thetas, n, m, rng, reduce if reduced else None)
-        expected = one_shot_mixture(model, thetas, n, m, ref)
+        expected = one_shot(model, thetas, n, m, ref)
         if reduced:
             assert len(blocks) >= 4 and max(blocks) <= rows_per_block(n) and sum(blocks) == b * m
             expected = stream_reduce(expected)
@@ -260,16 +274,19 @@ class TestStreamedReduce:
         assert np.array_equal(got, stream_reduce(one_shot_mixture(model, thetas, 90, 256, ref)))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_no_draws_reduce_the_empty_datasets(self):
-        thetas = MixtureModel().prior_sample(np.random.default_rng(0), 5)
+    @pytest.mark.parametrize("model, prior", STREAMED)
+    def test_no_draws_reduce_the_empty_datasets(self, model, prior):
+        """No particle (a sweep with no survivors) or no replicate draws nothing; empty datasets are refused."""
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        assert MixtureModel().simulate_batch(thetas, 90, 0, rng, stream_reduce).shape == (5, 0)
+        for b, m in ((0, 8), (5, 0)):
+            thetas = prior.prior_sample(np.random.default_rng(0), 5)[:b]
+            assert model.simulate_batch(thetas, 90, m, rng, stream_reduce).shape == (b, m)
         with pytest.raises(InvalidInputError):  # as summarize_batch refuses empty datasets
-            MixtureModel().simulate_batch(thetas, 0, 3, rng, stream_reduce)
+            model.simulate_batch(prior.prior_sample(np.random.default_rng(0), 5), 0, 3, rng, stream_reduce)
         assert rng.bit_generator.state == state
 
-    def test_other_models_reduce_their_whole_output(self, rng):
+    def test_gaussian_and_discrete_reduce_like_their_datasets(self, rng):
         gauss, discrete = GaussianLocationModel(), small_discrete_model()
         for model, thetas, n in ((gauss, np.array([[0.5], [-1.0]]), 4), (discrete, np.array([[0.0], [1.0]]), 2)):
             got = model.simulate_batch(thetas, n, 3, np.random.default_rng(1), lambda x: x.sum(axis=-1))
@@ -294,13 +311,22 @@ class TestStreamedReduce:
             MixtureModel().simulate_batch(thetas, 90, 256, np.random.default_rng(1), reduce)
         assert len(calls) == fail_at
 
-    def test_memory_holds_a_few_blocks(self):
-        """N=500, M=256, n=90: the datasets alone would be 88 MiB; a block is 0.5 MiB, the (N, M) distances 1 MiB."""
-        thetas = MixtureModel(mu_prior_sd=3.0).prior_sample(np.random.default_rng(0), 500)
+    @pytest.mark.parametrize(
+        "model, b, m, summary",
+        [
+            pytest.param(MixtureModel(), 500, 256, STREAM_SUMMARY, id="mixture"),
+            # a clamped mean is not reduced to one draw, so every dataset has all n values
+            pytest.param(GaussianLocationModel(), 1000, 64, SummarySpec(kind="mean", clamp=(-1.0, 1.0)), id="gaussian"),
+        ],
+    )
+    def test_memory_holds_a_few_blocks(self, model, b, m, summary):
+        """n=90: the datasets alone would be 88 MiB (mixture) or 44 MiB (Gaussian); a block is 0.5 MiB."""
+        thetas = model.prior_sample(np.random.default_rng(0), b)
+        obs_stats = summarize(summary, np.linspace(-2.0, 3.0, 90))
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            simulate_distances(MixtureModel(), thetas, 90, 256, rng, STREAM_SUMMARY, DistanceSpec(), STREAM_OBS)
+            simulate_distances(model, thetas, 90, m, rng, summary, DistanceSpec(), obs_stats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

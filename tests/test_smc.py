@@ -424,46 +424,30 @@ class TestUpdateLogZ:
 
 
 class TestSimulateDistances:
-    def test_shape_and_chunking(self, rng, monkeypatch):
-        model = GaussianLocationModel()
-        summary = SummarySpec(kind="mean")
-        dist = DistanceSpec()
-        theta = model.prior_sample(rng, 13)
-        # the mean is drawn as one value per replicate: 100 // 13 gives chunks of 7 and 2
-        monkeypatch.setattr(smc, "MAX_SIM_ELEMENTS", 100)
-        with mock.patch.object(GaussianLocationModel, "simulate_batch", autospec=True,
-                               side_effect=GaussianLocationModel.simulate_batch) as batch:
-            d = simulate_distances(model, theta, 20, 9, rng, summary, dist, np.zeros(1))
-        assert [c.args[3] for c in batch.call_args_list] == [7, 2]
-        assert d.shape == (13, 9)
-        assert np.all(np.isfinite(d)) and np.all(d >= 0)
-
     @pytest.mark.parametrize("model", [GaussianLocationModel(), small_discrete_model()], ids=["gaussian", "discrete"])
-    def test_one_chunk_gives_the_chunked_bits(self, monkeypatch, model):
-        # the one-chunk path returns simulate_batch's result itself; with one
-        # particle the replicates follow one another in the stream however the
-        # chunks cut them, so both paths must give the same bits, NaN made +inf
+    def test_one_simulate_batch_call_with_nan_made_inf(self, monkeypatch, model):
+        # all m replicates come from one call, whose distances are the result, NaN made +inf
         def with_nan(spec, stats, observed):
             d = distance_batch(spec, stats, observed)
             d[d > 1.0] = np.nan
             return d
 
         monkeypatch.setattr(smc, "distance_batch", with_nan)
-        summary = SummarySpec(kind="mean") if model.theta_atoms is None else SummarySpec(kind="identity")
-        theta = model.prior_sample(np.random.default_rng(0), 1)
-        obs_stats = np.array([0.3]) if model.theta_atoms is None else np.array([0.0, 2.0])
-        n_obs = 1 if model.theta_atoms is None else 2
-        ends = []
-        for limit in (smc.MAX_SIM_ELEMENTS, 2 * n_obs):  # one chunk of 9, then chunks of 2
-            monkeypatch.setattr(smc, "MAX_SIM_ELEMENTS", limit)
-            with mock.patch.object(type(model), "simulate_batch", autospec=True,
-                                   side_effect=type(model).simulate_batch) as batch:
-                d = simulate_distances(model, theta, n_obs, 9, np.random.default_rng(4), summary, DistanceSpec(), obs_stats)
-            ends.append((d, [c.args[3] for c in batch.call_args_list]))
-        (one, one_calls), (chunked, chunked_calls) = ends
-        assert one_calls == [9] and chunked_calls == [2, 2, 2, 2, 1]
-        assert_same_bits(one, chunked)
-        assert one.shape == (1, 9) and np.any(np.isinf(one)) and not np.any(np.isnan(one))
+        if model.theta_atoms is None:  # the mean of 20 values is drawn as one value per replicate
+            summary, obs_stats, n_obs = SummarySpec(kind="mean"), np.array([0.3]), 20
+        else:
+            summary, obs_stats, n_obs = SummarySpec(kind="identity"), np.array([0.0, 2.0]), 2
+        theta = model.prior_sample(np.random.default_rng(0), 13)
+        with mock.patch.object(type(model), "simulate_batch", autospec=True,
+                               side_effect=type(model).simulate_batch) as batch:
+            d = simulate_distances(model, theta, n_obs, 9, np.random.default_rng(4), summary, DistanceSpec(), obs_stats)
+        assert [c.args[3] for c in batch.call_args_list] == [9]
+        twin, n = model.reduced(summary, n_obs)
+        sims = twin.simulate_batch(theta, n, 9, np.random.default_rng(4))
+        expected = with_nan(DistanceSpec(), summarize_batch(summary, sims), obs_stats)
+        expected[np.isnan(expected)] = math.inf
+        assert d.shape == (13, 9) and np.any(np.isinf(d)) and not np.any(np.isnan(d))
+        assert_same_bits(d, expected)
 
     def test_unclamped_mean_draws_the_sample_mean_exactly(self):
         # the Gaussian sample mean is drawn as theta + (sd / sqrt(n)) z, one

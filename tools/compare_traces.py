@@ -6,8 +6,9 @@ BASE and CHANGE are checkouts of this repository.  Each run is an ``abcsmc
 run`` at seed 7: the presets with overrides of ``PRESET_RUNS``, then the
 benchmark's workload configs, read from ``perfbench/workloads.py`` next to
 this tool.  Between them they reach every ladder, kernel and M refresh, the
-stall push of ``on_stall="advance"``, an M whose replicates take two chunks
-of ``MAX_SIM_ELEMENTS``, and both paths of ``distance_batch``:
+stall push of ``on_stall="advance"``, a large M whose one simulator call
+streams blocks that a particle's datasets span, and both paths of
+``distance_batch``:
 statistics shorter than 8 entries (among them an ``lp`` distance with
 p = 3) and one of 9 entries.  Each is made once per checkout in a child
 process that imports the package from that checkout's ``src``.  A run
@@ -97,9 +98,9 @@ PRESET_RUNS = [
         ["summary.thresholds=[-3.0,-2.25,-1.5,-0.75,0.0,0.75,1.5,2.25,3.0]", "bound.m=9"],
     ),
     ("exp1-lambda4", "exp1", ["smc.lambda_target=4"]),
-    # an M past MAX_SIM_ELEMENTS: one simulate_distances call makes replicate chunks of 2222 and 78,
-    # and the mixture streams each through the statistic in blocks that a particle's datasets span
-    ("exp1-two-replicate-chunks", "exp1", ["smc.n_particles=100", 'smc.m_schedule={"1": 2300, "2": 8}']),
+    # a large M: each simulate_distances call at M=2300 is one mixture call of up to 100 x 2300
+    # datasets, streamed through the statistic in blocks of 728 that a particle's datasets span
+    ("exp1-large-m", "exp1", ["smc.n_particles=100", 'smc.m_schedule={"1": 2300, "2": 8}']),
 ]
 
 
