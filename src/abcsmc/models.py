@@ -13,11 +13,12 @@ seed reproduces datasets bit for bit.
 
 ``simulate_batch(..., reduce=f)`` returns ``f`` of the datasets instead of
 the datasets: ``f`` maps (..., n) datasets to (...) values (the sampler
-passes summary, then distance, for all M replicates in one call).  The
-mixture (on a helper thread) and the Gaussian hand them to ``f`` in blocks
-of at most ``statistics.rows_per_block(n)`` datasets, so a large M never
-builds the (B, m, n) array; the discrete toy reduces them whole.  Each
-simulator draws in C order of the datasets: the blocks change no value.
+passes summary, then distance, for all M replicates in one call).  Every
+simulator hands them to ``f`` in blocks, so a large M never builds the
+(B, m, n) array: the mixture (on a helper thread) and the Gaussian in blocks
+of at most ``statistics.rows_per_block(n)`` datasets, the discrete toy in
+blocks of at most ``_DISCRETE_BLOCK_ELEMENTS`` values.  Each simulator draws
+in C order of the datasets: the blocks change no value.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .statistics import distance_batch, row_blocks, rows_per_block, summarize, s
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_BUFFERS = 3  # the mixture's reused block buffers: the block drawn here and two its tasks still read
+_DISCRETE_BLOCK_ELEMENTS = 20_000_000  # values per block of the discrete toy's datasets (160 MB of float64)
 
 
 class GenerativeModel:
@@ -58,8 +60,7 @@ class GenerativeModel:
         """Simulate m datasets of size n for each row of thetas; shape (B, m, n), or ``reduce``'s (B, m) of them.
 
         ``reduce`` maps (..., n) datasets to (...) values; it may be handed
-        the datasets in blocks, which a particle's m datasets may span, on
-        another thread.
+        them in blocks, which a particle's datasets may span, on another thread.
         """
         raise NotImplementedError
 
@@ -196,23 +197,27 @@ class GaussianLocationModel(GenerativeModel):
         return -0.5 * thetas[:, 0] ** 2 / self.prior_var - 0.5 * (_LOG_2PI + math.log(self.prior_var))
 
     def simulate_batch(self, thetas, n, m, rng, reduce=None):
-        """theta + noise_sd z; z holds the bits of ``rng.normal(size=(B, m, n))``, reduced in blocks past one block."""
+        """theta + noise_sd z; z holds the bits of ``rng.normal(size=(B, m, n))``, drawn in row blocks.
+
+        Datasets are drawn into the result.  Reduced ones are drawn into one
+        buffer, and their result is made once the first block's ``reduce``
+        has returned, so it is never held with that call's temporaries.
+        """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(thetas)):
             raise InvalidParameterError("parameter has non-finite entries")
         b, sets = thetas.shape[0], thetas.shape[0] * m
-        if reduce is None or sets <= rows_per_block(n):  # drawn whole: the result, or one block
-            z = rng.standard_normal((b, m, n))
-            z *= self.noise_sd
-            z += thetas[:, :1, None]
-            return z if reduce is None else reduce(z)
-        buf, out = np.empty((rows_per_block(n), n)), np.empty(sets)
+        out = np.empty((sets, n) if reduce is None else 0)
+        buf = None if reduce is None else np.empty((min(sets, rows_per_block(n)), n))
         for d0, d1 in row_blocks(sets, n):
-            z = rng.standard_normal(out=buf[: d1 - d0])
+            z = rng.standard_normal(out=out[d0:d1] if buf is None else buf[: d1 - d0])
             z *= self.noise_sd
             z += thetas[:, 0].take(np.arange(d0, d1) // m)[:, None]
-            out[d0:d1] = reduce(z)
-        return out.reshape(b, m)
+            if buf is not None:
+                value = reduce(z)
+                out = np.empty(sets) if d0 == 0 else out
+                out[d0:d1] = value
+        return out.reshape((b, m, n) if reduce is None else (b, m))
 
     def reduced(self, summary, n):
         """The unclamped sample mean of n draws is exactly N(theta, noise_sd^2 / n): one draw at that sd.
@@ -326,22 +331,26 @@ class DiscreteToyModel(GenerativeModel):
         """One uniform per replicate, mapped through its atom's dataset CDF; shape (B, m, n), or ``reduce``'s (B, m).
 
         ``atom_index_batch`` finds the rows' atoms, and raises
-        ``InvalidParameterError`` before any draw if a row is no atom.  The
-        B x m uniforms are drawn in one call, each is mapped to its dataset
-        index through its atom's guide table (``_dataset_index``), and the
-        datasets are gathered from the table and reduced whole.  Row blocks
-        slowed discrete-wide (2 shared vCPUs: ``wall_s`` 0.350 -> 0.392 s):
-        unlike this array, they never raise glibc's mmap threshold, so minor
-        page faults rose from 0.5-10k to 23-27k per run.
+        ``InvalidParameterError`` before any draw if a row is no atom.  Blocks
+        of whole particles, of at most ``_DISCRETE_BLOCK_ELEMENTS`` values or
+        one particle's m datasets (n times its row of the result), draw their
+        uniforms in C order of (B, m), map each to its dataset index through
+        its atom's guide table (``_dataset_index``) and gather the datasets;
+        the result is made as in the Gaussian.  Blocks of ``rows_per_block(n)``
+        slowed discrete-wide on 2 shared vCPUs (``wall_s`` 0.350 -> 0.392 s):
+        they never raise glibc's mmap threshold, so minor page faults rose
+        from 0.5-10k to 23-27k a run.
         """
         if n != self.n:
             raise InvalidConfigError(f"model is defined for datasets of size {self.n}")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        atoms = self.atom_index_batch(thetas[:, 0])
-        u = rng.random((thetas.shape[0], m))
-        data = self._datasets.take(self._dataset_index(atoms, u), axis=0)
-        del atoms, u  # only the datasets stay alive through reduce
-        return data if reduce is None else reduce(data)
+        atoms, b = self.atom_index_batch(thetas[:, 0]), thetas.shape[0]
+        for p0, p1 in list(row_blocks(b, m * n, _DISCRETE_BLOCK_ELEMENTS)) or [(0, 0)]:
+            value = self._datasets.take(self._dataset_index(atoms[p0:p1], rng.random((p1 - p0, m))), axis=0)
+            value = value if reduce is None else reduce(value)  # reduced datasets go before the result is made
+            out = np.empty((b, *value.shape[1:])) if p0 == 0 else out
+            out[p0:p1] = value
+        return out
 
     def _dataset_index(self, atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to the last dataset, cdf that of each row's atom.

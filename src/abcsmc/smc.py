@@ -62,14 +62,13 @@ def simulate_distances(
 
     The datasets are drawn from ``model.reduced(summary, n_obs)``, which
     gives the same statistic law at a size of at most n_obs (the Gaussian
-    sample mean is drawn as one observation), in one ``simulate_batch``
-    call with a ``reduce`` that summarizes datasets and measures their
-    distances (``summarize_batch`` and ``distance_batch``, looked up on this
-    module at call time).  The model alone bounds the raw datasets held at
-    once (``models``: the mixture and the Gaussian stream row blocks, the
-    discrete toy builds its small datasets whole).  A NaN distance (a
-    simulator whose output overflowed, say) becomes +inf: kernel value 0
-    at every rung past the first, rather than a NaN weight and log Z.
+    sample mean is drawn as one observation), in one ``simulate_batch`` call
+    whose ``reduce`` summarizes datasets and measures their distances
+    (``summarize_batch`` and ``distance_batch``, looked up on this module at
+    call time); the model alone bounds the datasets it holds at once by
+    handing them over in blocks (``models``).  A NaN distance (a simulator
+    whose output overflowed, say) becomes +inf: kernel value 0 at every rung
+    past the first, rather than a NaN weight and log Z.
     """
     model, n_obs = model.reduced(summary, n_obs)
 

@@ -131,14 +131,14 @@ def summarize_batch(spec: SummarySpec, data: np.ndarray) -> np.ndarray:
     return data  # identity
 
 
-def rows_per_block(row_len: int) -> int:
-    """Rows of row_len elements that fill one block of BLOCK_ELEMENTS (at least one, also for row_len 0)."""
-    return max(1, BLOCK_ELEMENTS // max(1, row_len))
+def rows_per_block(row_len: int, elements: int | None = None) -> int:
+    """Rows of row_len elements that fill a block of ``elements``, BLOCK_ELEMENTS by default (at least one row)."""
+    return max(1, (elements or BLOCK_ELEMENTS) // max(1, row_len))
 
 
-def row_blocks(rows: int, row_len: int):
-    """Consecutive (start, stop) row ranges of ``rows_per_block(row_len)`` rows each."""
-    step = rows_per_block(row_len)
+def row_blocks(rows: int, row_len: int, elements: int | None = None):
+    """Consecutive (start, stop) row ranges of ``rows_per_block(row_len, elements)`` rows each."""
+    step = rows_per_block(row_len, elements)
     for r0 in range(0, rows, step):
         yield r0, min(rows, r0 + step)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from abcsmc import models
 from abcsmc.exceptions import InvalidConfigError, InvalidInputError, InvalidParameterError
 from abcsmc.models import (
     DiscreteToyModel,
@@ -264,6 +265,54 @@ class TestStreamedReduce:
             expected = stream_reduce(expected)
         assert np.array_equal(got, expected)
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["datasets", "reduced"])
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_discrete_blocks_equal_one_shot_datasets(self, monkeypatch, m, bit_generator, reduced):
+        """Blocks of whole particles, five or more: at most 50 datasets at m=1 and m=7, one particle at m=64."""
+        model = small_discrete_model()
+        monkeypatch.setattr(models, "_DISCRETE_BLOCK_ELEMENTS", 50 * model.n)
+        thetas = model.prior_sample(np.random.default_rng(m), max(5, 230 // m))
+        rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(5)) for _ in range(2))
+        blocks = []
+
+        def reduce(sims):
+            blocks.append(sims.size // model.n)
+            return sims @ np.arange(1.0, model.n + 1)
+
+        got = model.simulate_batch(thetas, model.n, m, rng, reduce if reduced else None)
+        expected = model.enumerate_datasets().take(searchsorted_dataset_index(model, thetas, m, ref), axis=0)
+        if reduced:
+            assert len(blocks) >= 5 and max(blocks) == m * max(1, 50 // m) and sum(blocks) == len(thetas) * m
+            expected = expected @ np.arange(1.0, model.n + 1)
+        assert np.array_equal(got, expected)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    def test_discrete_no_draws_give_empty_results(self):
+        """No particle or no replicate draws nothing and gives the empty (B, m) or (B, m, n) result."""
+        model, rng = small_discrete_model(), np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for b, m in ((0, 8), (5, 0)):
+            thetas = model.prior_sample(np.random.default_rng(0), 5)[:b]
+            assert model.simulate_batch(thetas, model.n, m, rng, lambda x: x.sum(axis=-1)).shape == (b, m)
+            assert model.simulate_batch(thetas, model.n, m, rng).shape == (b, m, model.n)
+        assert rng.bit_generator.state == state
+
+    def test_discrete_memory_holds_a_block(self, monkeypatch):
+        """N=2000, M=256, n=2 in blocks of 4096 datasets: 4.4 MiB traced, 16.1 MiB as one block (the distances are 4 MiB)."""
+        model = small_discrete_model()
+        monkeypatch.setattr(models, "_DISCRETE_BLOCK_ELEMENTS", 4096 * model.n)
+        thetas = model.prior_sample(np.random.default_rng(0), 2000)
+        summary = SummarySpec(kind="identity")
+        obs_stats = summarize(summary, np.array([0.0, 2.0]))
+        tracemalloc.start()
+        try:
+            simulate_distances(model, thetas, model.n, 256, np.random.default_rng(1), summary, DistanceSpec(), obs_stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_simulate_distances_equals_one_shot_pipeline(self):
         """The sampler's path gives the distances of the whole datasets, summarized and measured at once."""
